@@ -1052,11 +1052,15 @@ fn recover_experiment(opts: &Options) {
 
 /// PHOLD + queueing-network experiment (DESIGN.md §13): the
 /// payload-generic component layer on the model engines. Runs PHOLD on
-/// the sequential reference and the sharded executor at K ∈ {1,2,4},
-/// asserts the deterministic observables and event-stream checksums are
-/// bit-identical, prints the events/s table, cross-checks the M/M/c
-/// queueing network at K=4, and writes `BENCH_phold.json`.
+/// the sequential reference and the sharded executor at K ∈ {1,2,4} —
+/// under the default partition, which keeps ring neighbours together,
+/// and under round-robin, which cuts every remote hop and so prices the
+/// mailbox fabric — asserts the deterministic observables and
+/// event-stream checksums are bit-identical, prints the events/s table,
+/// cross-checks the M/M/c queueing network at K=4, and writes
+/// `BENCH_phold.json`.
 fn phold_experiment(opts: &Options) {
+    use des::PartitionStrategy;
     use model::phold::{self, PholdConfig};
     use model::queueing::{self, MmcSpec};
     use std::time::Instant;
@@ -1085,17 +1089,25 @@ fn phold_experiment(opts: &Options) {
     );
 
     let build = || phold::build(cfg, SEED, horizon as u64);
-    let mut t = Table::new(["engine", "shards", "time (min)", "events", "events/s"]);
+    let mut t = Table::new(["engine", "shards", "partition", "time (min)", "events", "events/s"]);
     let mut json_rows = Vec::new();
     let mut reference: Option<model::ModelOutput> = None;
     let shard_counts = [1usize, 2, 4];
-    for (engine, k) in std::iter::once(("model-seq", 1))
-        .chain(shard_counts.iter().map(|&k| ("model-sharded", k)))
-    {
+    let default_cut = PartitionStrategy::default();
+    let mut configs = vec![("model-seq", 1, default_cut)];
+    for &k in &shard_counts {
+        configs.push(("model-sharded", k, default_cut));
+        if k > 1 {
+            configs.push(("model-sharded", k, PartitionStrategy::RoundRobin));
+        }
+    }
+    for (engine, k, strategy) in configs {
+        // One shard has nothing to partition.
+        let partition = if k > 1 { strategy.name() } else { "-" };
         let mut best = std::time::Duration::MAX;
         let mut out = None;
         for _ in 0..opts.reps {
-            let ecfg = EngineConfig::new().with_shards(k);
+            let ecfg = EngineConfig::new().with_shards(k).with_strategy(strategy);
             let start = Instant::now();
             let o = model::run(engine, &ecfg, build());
             best = best.min(start.elapsed());
@@ -1111,13 +1123,15 @@ fn phold_experiment(opts: &Options) {
         t.row([
             engine.to_string(),
             k.to_string(),
+            partition.to_string(),
             fmt_duration(best),
             fmt_count(events),
             fmt_count(eps as u64),
         ]);
         json_rows.push(format!(
-            "{{\"engine\": \"{engine}\", \"shards\": {k}, \"min_ms\": {:.3}, \
-             \"events\": {events}, \"events_per_sec\": {:.0}, \"checksum\": {}}}",
+            "{{\"engine\": \"{engine}\", \"shards\": {k}, \"partition\": \"{partition}\", \
+             \"min_ms\": {:.3}, \"events\": {events}, \"events_per_sec\": {:.0}, \
+             \"checksum\": {}}}",
             best.as_secs_f64() * 1e3,
             eps,
             out.checksum
@@ -1125,8 +1139,8 @@ fn phold_experiment(opts: &Options) {
     }
     println!("{}", t.render());
     println!(
-        "seq vs sharded K={shard_counts:?}: observables and checksums bit-identical \
-         (checksum {:#018x})",
+        "seq vs sharded K={shard_counts:?}, both partitions: observables and checksums \
+         bit-identical (checksum {:#018x})",
         reference.as_ref().expect("ran").checksum
     );
 

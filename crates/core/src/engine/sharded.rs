@@ -6,7 +6,10 @@
 //! into K shards (`sim-shard`'s [`Partition`]) and runs one *sequential*
 //! Chandy–Misra core per shard on a dedicated thread — the PARSIR-style
 //! architecture. Shards share nothing; every cross-shard edge carries its
-//! traffic through bounded mailboxes ([`shard::comm`]):
+//! traffic through bounded, batched mailboxes ([`shard::comm`]): a node
+//! run stages what it sends and the link hands it over in one operation
+//! at the end of the run, when a staging buffer fills, and before the
+//! shard blocks. What crosses:
 //!
 //! * **payload events**, delivered into the destination port's FIFO deque
 //!   exactly as a local delivery would be (each input port has a single
@@ -114,6 +117,11 @@ pub(crate) const DEFAULT_MAILBOX_CAPACITY: usize = 256;
 /// How long an idle shard blocks on its inbox before re-checking
 /// cancellation and re-offering lookahead promises.
 const IDLE_RECV_TIMEOUT: Duration = Duration::from_millis(1);
+
+/// The same wait while some of this shard's own output is still held
+/// back by a full destination: whoever makes room does not notify the
+/// sender, so it polls for room instead of sleeping a whole idle period.
+const BACKLOGGED_RECV_TIMEOUT: Duration = Duration::from_micros(50);
 
 /// Partitioned conservative engine: one sequential Chandy–Misra core per
 /// shard, cross-shard traffic over bounded mailboxes.
@@ -934,6 +942,13 @@ pub(crate) struct ShardCore<'a, L: Link> {
     null_wait: Vec<Option<Counter>>,
     workset: VecDeque<NodeId>,
     queued: Vec<bool>,
+    /// Index into `circuit.inputs()` per node index (`u32::MAX` for
+    /// nodes that are not inputs).
+    input_ix: Vec<u32>,
+    /// Progress made by the current node run, reported to `ctl` once
+    /// when the run ends: the counter's cache line is shared by every
+    /// shard, so it is not touched per event.
+    ticks: u64,
     stats: SimStats,
     temp: Vec<(PortIx, Event)>,
     /// Slab backing every event queued on this shard. Built on the shard
@@ -993,6 +1008,10 @@ impl<'a, L: Link> ShardCore<'a, L> {
         let cut_in = incoming_cut_edges(circuit, &partition, shard);
         let num_shards = partition.num_shards();
         let mut reb = rebalance.map(|(bus, policy)| RebalanceRt::new(bus, policy, num_shards));
+        let mut input_ix = vec![u32::MAX; circuit.num_nodes()];
+        for (ix, id) in circuit.inputs().iter().enumerate() {
+            input_ix[id.index()] = ix as u32;
+        }
 
         // Restore: overwrite the fresh per-node state with the snapshot's
         // and fast-forward the epoch counter past the restored barrier.
@@ -1046,6 +1065,8 @@ impl<'a, L: Link> ShardCore<'a, L> {
             null_wait: (0..num_shards).map(|_| None).collect(),
             workset: VecDeque::new(),
             queued: vec![false; circuit.num_nodes()],
+            input_ix,
+            ticks: 0,
             stats,
             temp: Vec::new(),
             arena,
@@ -1151,14 +1172,14 @@ impl<'a, L: Link> ShardCore<'a, L> {
                 return;
             }
             // Idle: nothing runnable until a message arrives. Promise
-            // clock floors downstream, flush anything a batching
-            // transport is still holding, then block briefly.
+            // clock floors downstream, hand over everything the link is
+            // still holding, then block briefly.
             if self.send_lookahead_nulls().is_err() {
                 return;
             }
-            if self.link.flush().is_err() {
+            let Ok(wait) = self.flush_before_wait() else {
                 return; // fabric torn down
-            }
+            };
             if !self.workset.is_empty() {
                 continue; // inbox drain inside a send loop found work
             }
@@ -1167,7 +1188,7 @@ impl<'a, L: Link> ShardCore<'a, L> {
             // the time to whichever peer's clock is holding us back.
             let culprit = self.blocking_peer();
             let waited = Instant::now();
-            match self.link.recv_timeout(IDLE_RECV_TIMEOUT) {
+            match self.link.recv_timeout(wait) {
                 Ok(msg) => {
                     self.note_null_wait(culprit, waited.elapsed());
                     self.handle(msg)
@@ -1182,6 +1203,18 @@ impl<'a, L: Link> ShardCore<'a, L> {
                     std::thread::sleep(IDLE_RECV_TIMEOUT);
                 }
             }
+        }
+    }
+
+    /// Hand the link's coalesced traffic over before a blocking wait — a
+    /// peer may be waiting for exactly what it still holds — and say how
+    /// long the wait may be: a full idle period when everything went
+    /// out, a short poll when a full destination held some of it back.
+    fn flush_before_wait(&mut self) -> Result<Duration, Stopped> {
+        match self.link.flush() {
+            Ok(true) => Ok(IDLE_RECV_TIMEOUT),
+            Ok(false) => Ok(BACKLOGGED_RECV_TIMEOUT),
+            Err(_) => Err(Stopped),
         }
     }
 
@@ -1670,22 +1703,21 @@ impl<'a, L: Link> ShardCore<'a, L> {
             let Some(laggard) = laggard else {
                 return Ok(());
             };
+            // Our own barrier traffic may still sit in the link (staged
+            // behind the payload it must not overtake, or behind a full
+            // destination); the peers cannot answer what they have not
+            // been sent. Errors surface through cancellation.
+            let wait = self.flush_before_wait().unwrap_or(IDLE_RECV_TIMEOUT);
             // Barrier waits count as stalls too: the first peer whose
             // marker is missing is who we are blocked on.
             let waited = Instant::now();
-            match self.link.recv_timeout(IDLE_RECV_TIMEOUT) {
+            match self.link.recv_timeout(wait) {
                 Ok(msg) => {
                     self.note_null_wait(Some(laggard), waited.elapsed());
                     self.handle(msg)
                 }
                 Err(RecvTimeoutError::Timeout) => {
                     self.note_null_wait(Some(laggard), waited.elapsed());
-                    // A batching transport may still be holding our own
-                    // barrier traffic (e.g. a marker that hit a full
-                    // outbox on its urgent flush); push it out so the
-                    // barrier cannot wedge on an unflushed link. Errors
-                    // surface through cancellation.
-                    let _ = self.link.flush();
                 }
                 Err(RecvTimeoutError::Disconnected) => std::thread::sleep(IDLE_RECV_TIMEOUT),
             }
@@ -1780,9 +1812,9 @@ impl<'a, L: Link> ShardCore<'a, L> {
         let dst = self.partition.shard_of(target.node);
         self.probe
             .hot_instant(SpanKind::EventDeliver, target.node.index() as u64, event.time);
+        self.ticks += 1;
         if dst == self.shard {
             self.stats.events_delivered += 1;
-            self.ctl.tick();
             self.nodes[target.node.index()]
                 .as_mut()
                 .expect("owned node")
@@ -1791,7 +1823,6 @@ impl<'a, L: Link> ShardCore<'a, L> {
             self.activate(target.node);
         } else {
             self.stats.cut_events_sent += 1;
-            self.ctl.tick();
             self.send_cross(
                 dst,
                 ShardMsg::Event {
@@ -1812,13 +1843,12 @@ impl<'a, L: Link> ShardCore<'a, L> {
         self.probe
             .hot_instant(SpanKind::NullSend, target.node.index() as u64, NULL_TS);
         let dst = self.partition.shard_of(target.node);
+        self.ticks += 1;
         if dst == self.shard {
-            self.ctl.tick();
             self.node_mut(target.node).ports[target.port as usize].push_null();
             self.activate(target.node);
         } else {
             self.stats.shard_nulls_sent += 1;
-            self.ctl.tick();
             self.send_cross(
                 dst,
                 ShardMsg::Null {
@@ -1842,30 +1872,32 @@ impl<'a, L: Link> ShardCore<'a, L> {
         };
         self.probe
             .end(span, id.index(), self.stats.events_processed - before);
+        self.ctl.tick_n(std::mem::take(&mut self.ticks));
+        // The run's cross-shard sends are staged in the link: hand them
+        // over together now.
+        self.link.publish();
         result
     }
 
     /// Emit an input node's whole stimulus, then its terminal NULL.
     fn run_input(&mut self, id: NodeId) -> Result<(), Stopped> {
-        let input_ix = self
-            .circuit
-            .inputs()
-            .iter()
-            .position(|&i| i == id)
-            .expect("id is an input node");
+        // Both borrow from the circuit and the stimulus, not from `self`.
+        let (circuit, stimulus) = (self.circuit, self.stimulus);
+        let input_ix = self.input_ix[id.index()];
+        debug_assert_ne!(input_ix, u32::MAX, "id is an input node");
         let delay = self.node(id).delay;
-        let fanout = self.circuit.node(id).fanout.clone();
-        let events = self.stimulus.input_events(input_ix).to_vec();
-        for tv in &events {
+        let fanout = &circuit.node(id).fanout;
+        let events = stimulus.input_events(input_ix as usize);
+        for tv in events {
             // The initial event itself counts as delivered + processed.
             self.stats.events_delivered += 1;
             self.note_processed();
             let out = Event::new(tv.time + delay, tv.value);
-            for &t in &fanout {
+            for &t in fanout {
                 self.deliver(t, out)?;
             }
         }
-        for &t in &fanout {
+        for &t in fanout {
             self.deliver_null(t)?;
         }
         if let Some(last) = events.last() {
@@ -1885,7 +1917,8 @@ impl<'a, L: Link> ShardCore<'a, L> {
         }
         self.probe.batch(temp.len() as u64);
 
-        let fanout = self.circuit.node(id).fanout.clone();
+        let circuit = self.circuit;
+        let fanout = &circuit.node(id).fanout;
         let mut result = Ok(());
         for &(port, ev) in &temp {
             self.note_processed();
@@ -1905,7 +1938,7 @@ impl<'a, L: Link> ShardCore<'a, L> {
                 }
             };
             if let Some(out) = emitted {
-                for &t in &fanout {
+                for &t in fanout {
                     if self.deliver(t, out).is_err() {
                         result = Err(Stopped);
                         break;
@@ -1926,7 +1959,7 @@ impl<'a, L: Link> ShardCore<'a, L> {
             && node.ports.iter().all(|p| p.is_empty())
         {
             self.node_mut(id).null_sent = true;
-            for &t in &fanout {
+            for &t in fanout {
                 self.deliver_null(t)?;
             }
         }
@@ -2228,6 +2261,48 @@ mod tests {
         let engine = sharded_k(4).with_mailbox_capacity(1);
         let out = engine.run(&c, &s, &delays);
         check_equivalent(&seq, &out).expect("equivalent under backpressure");
+    }
+
+    #[test]
+    fn stall_snapshot_counts_inbox_depth_in_messages() {
+        // Two published batches (3 + 2 messages) toward shard 1, one
+        // message already consumed: the watchdog must see 4 messages, not
+        // 2 batches — and nothing for what is merely staged.
+        let (mut links, probe) = loopback(2, 16);
+        let mut l1 = links.pop().unwrap();
+        let mut l0 = links.pop().unwrap();
+        let target = Target {
+            node: NodeId(0),
+            port: 0,
+        };
+        let null = |time| ShardMsg::Null { target, time };
+        for (batch, len) in [(0u64, 3u64), (1, 2)] {
+            for i in 0..len {
+                l0.try_send(1, null(batch * 10 + i)).unwrap();
+            }
+            assert_eq!(l0.flush(), Ok(true));
+        }
+        l0.try_send(1, null(99)).unwrap();
+        assert!(l1.try_recv().is_ok());
+        assert_eq!(l1.inbox_len(), 4);
+
+        let done: Vec<AtomicBool> = (0..2).map(|_| AtomicBool::new(false)).collect();
+        let snapshot = stall_snapshot(
+            "sharded",
+            &probe,
+            &done,
+            &shard_mem_stats(2),
+            &FaultPlan::none(),
+            Recorder::noop(),
+            &WaitMatrix::new(2),
+            0,
+            0,
+            Duration::from_millis(250),
+            7,
+        );
+        assert_eq!(snapshot.queue_depths, vec![0, 4]);
+        assert_eq!(snapshot.workset_size, 4);
+        assert_eq!(snapshot.workers[1].queue_depth, Some(4));
     }
 
     #[test]

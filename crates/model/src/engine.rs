@@ -8,10 +8,10 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use des::{
-    EngineConfig, Partition, Recorder, RunCtl, SimError, SpanKind, StallSnapshot, Watchdog,
+    EngineConfig, Partition, Recorder, RunCtl, SimError, SpanKind, StallSnapshot, Tracer, Watchdog,
 };
+use shard::comm::{fabric, Mailbox, RecvTimeoutError, TrySendError};
 
 use crate::component::Payload;
 use crate::graph::{Link, ModelGraph};
@@ -177,11 +177,15 @@ fn finish(
     }
 }
 
+/// Arm the no-progress watchdog. `inbox_depths` reads every shard
+/// inbox's depth in messages at the moment of the stall (nothing for the
+/// sequential engine, which has no mailboxes).
 fn arm_watchdog(
     engine: &'static str,
     cfg: &EngineConfig,
     ctl: &Arc<RunCtl>,
     recorder: &Recorder,
+    inbox_depths: impl Fn() -> Vec<usize> + Send + 'static,
 ) -> Option<Watchdog> {
     let deadline = cfg.watchdog()?;
     let fault = Arc::clone(cfg.fault());
@@ -194,10 +198,13 @@ fn arm_watchdog(
             if fault.is_active() {
                 notes.push(format!("fault injection active: {:?}", fault.injected()));
             }
+            let queue_depths = inbox_depths();
             StallSnapshot {
                 engine: engine.to_string(),
                 stalled_for,
                 progress_ticks: ticks,
+                workset_size: queue_depths.iter().sum(),
+                queue_depths,
                 notes,
                 traces: recorder.recent_traces(16),
                 ..Default::default()
@@ -253,7 +260,7 @@ impl SeqModelEngine {
         let recorder = self.cfg.recorder();
         let tracer = recorder.tracer("model-seq");
         let ctl = Arc::new(RunCtl::new());
-        let watchdog = arm_watchdog("model-seq", &self.cfg, &ctl, &recorder);
+        let watchdog = arm_watchdog("model-seq", &self.cfg, &ctl, &recorder, Vec::new);
 
         let (seed, horizon, names, comps, links) = graph.into_parts();
         let mut cores = lower(seed, horizon, comps, &links);
@@ -298,12 +305,7 @@ impl SeqModelEngine {
                 stats.msgs_routed += out.len() as u64;
                 progress += handled + out.len() as u64;
                 for msg in out.drain(..) {
-                    let dst = match &msg {
-                        OutMsg::Event { dst, .. }
-                        | OutMsg::Promise { dst, .. }
-                        | OutMsg::Null { dst, .. } => *dst,
-                    };
-                    deliver(&mut cores[dst], msg);
+                    deliver(&mut cores[msg.dst()], msg);
                 }
             }
             ctl.tick_n(progress);
@@ -335,7 +337,9 @@ impl SeqModelEngine {
 /// The sharded conservative executor: components partitioned into K
 /// shards ([`Partition::build_graph`] handles the cyclic graphs the
 /// circuit partitioner never sees), one thread per shard, cross-shard
-/// traffic over bounded mailboxes.
+/// traffic over the bounded, batched mailboxes of [`shard::comm`] — a
+/// sweep over the shard's components stages what it sends and hands it
+/// over a batch at a time.
 pub struct ShardedModelEngine {
     cfg: EngineConfig,
 }
@@ -363,8 +367,6 @@ impl ShardedModelEngine {
         fault.reset();
         let recorder = self.cfg.recorder();
         let ctl = Arc::new(RunCtl::new());
-        let watchdog = arm_watchdog("model-sharded", &self.cfg, &ctl, &recorder);
-
         let (seed, horizon, names, comps, links) = graph.into_parts();
         let n = comps.len();
         let k = self.cfg.shards().max(1).min(n.max(1));
@@ -374,6 +376,10 @@ impl ShardedModelEngine {
         // list is a configuration error, not a per-thread surprise.
         let pin_plan = self.cfg.pinning().plan(k)?;
         let assignment: Arc<Vec<usize>> = Arc::new(partition.assignment().to_vec());
+        let (mut mailboxes, depths) = fabric::<OutMsg<P>>(k, self.cfg.mailbox_capacity().max(1));
+        let watchdog = arm_watchdog("model-sharded", &self.cfg, &ctl, &recorder, move || {
+            depths.depths()
+        });
 
         // Split the lowered cores by shard; each shard also gets a
         // global-id → local-index map for inbox delivery.
@@ -386,37 +392,25 @@ impl ShardedModelEngine {
         }
         let g2l = Arc::new(g2l);
 
-        let capacity = self.cfg.mailbox_capacity().max(1);
-        let mut txs: Vec<Sender<OutMsg<P>>> = Vec::with_capacity(k);
-        let mut rxs: Vec<Receiver<OutMsg<P>>> = Vec::with_capacity(k);
-        for _ in 0..k {
-            let (tx, rx) = bounded(capacity);
-            txs.push(tx);
-            rxs.push(rx);
-        }
-
         let mut results: Vec<Result<ShardDone, SimError>> = Vec::with_capacity(k);
         std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(k);
-            for (me, (local, rx)) in shard_cores
-                .drain(..)
-                .zip(rxs.drain(..))
-                .enumerate()
-            {
-                let txs = txs.clone();
-                let ctl = Arc::clone(&ctl);
+            for (local, mailbox) in shard_cores.drain(..).zip(mailboxes.drain(..)) {
+                let me = mailbox.shard();
+                let shard = ModelShard {
+                    local,
+                    mailbox,
+                    assignment: Arc::clone(&assignment),
+                    g2l: Arc::clone(&g2l),
+                    ctl: Arc::clone(&ctl),
+                    tracer: recorder.tracer(&format!("model-shard-{me}")),
+                    moved: 0,
+                };
                 let fault = Arc::clone(&fault);
-                let assignment = Arc::clone(&assignment);
-                let g2l = Arc::clone(&g2l);
                 let recorder = recorder.clone();
                 let pin_slot = pin_plan[me];
-                handles.push(scope.spawn(move || {
-                    run_shard(me, pin_slot, local, rx, txs, assignment, g2l, ctl, fault, recorder)
-                }));
+                handles.push(scope.spawn(move || shard.run(pin_slot, &fault, &recorder)));
             }
-            // Parent drops its sender clones so only live shards hold
-            // them.
-            txs.clear();
             for h in handles {
                 results.push(h.join().unwrap_or_else(|payload| {
                     Err(SimError::from_panic(None, &*payload))
@@ -465,163 +459,205 @@ impl ShardedModelEngine {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_shard<P: Payload>(
-    me: usize,
-    pin_slot: Option<usize>,
-    mut local: Vec<CompCore<P>>,
-    rx: Receiver<OutMsg<P>>,
-    txs: Vec<Sender<OutMsg<P>>>,
+/// Why a shard stopped before its components were done.
+enum Halt {
+    /// The run was cancelled; the shard reports what it has.
+    Cancelled,
+    /// This shard found the fault.
+    Failed(SimError),
+}
+
+/// One shard thread's state: its components and its end of the fabric.
+struct ModelShard<P: Payload> {
+    local: Vec<CompCore<P>>,
+    mailbox: Mailbox<OutMsg<P>>,
+    /// Component id → owning shard, and → index in that shard's `local`.
     assignment: Arc<Vec<usize>>,
     g2l: Arc<Vec<usize>>,
     ctl: Arc<RunCtl>,
-    fault: Arc<des::FaultPlan>,
-    recorder: Recorder,
-) -> Result<ShardDone, SimError> {
-    // Pin first: component arenas grow on demand, so their pages are
-    // first-touched from the pinned core.
-    if let Some(core) = pin_slot {
-        des::engine::pin::pin_current_thread(core);
-    }
-    let tracer = recorder.tracer(&format!("model-shard-{me}"));
-    let mut handled_total = 0u64;
-    let mut routed_total = 0u64;
-    let mut activations = 0u64;
-    let mut out: Vec<OutMsg<P>> = Vec::new();
+    tracer: Tracer,
+    /// Messages taken from the inbox since the last progress report.
+    moved: u64,
+}
 
-    let shard_done = |local: &[CompCore<P>], handled, routed, activations| ShardDone {
-        handled,
-        routed,
-        activations,
-        comps: local.iter().map(collect_comp).collect(),
-    };
+impl<P: Payload> ModelShard<P> {
+    fn run(
+        mut self,
+        pin_slot: Option<usize>,
+        fault: &des::FaultPlan,
+        recorder: &Recorder,
+    ) -> Result<ShardDone, SimError> {
+        // Pin first: component arenas grow on demand, so their pages are
+        // first-touched from the pinned core.
+        if let Some(core) = pin_slot {
+            des::engine::pin::pin_current_thread(core);
+        }
+        let me = self.mailbox.shard();
+        let mut done = ShardDone {
+            handled: 0,
+            routed: 0,
+            activations: 0,
+            comps: Vec::new(),
+        };
+        let mut out: Vec<OutMsg<P>> = Vec::new();
 
-    loop {
-        if ctl.is_cancelled() {
-            return Ok(shard_done(&local, handled_total, routed_total, activations));
-        }
-        if fault.is_wedged() {
-            // Hold the shard without ticking progress until the
-            // watchdog cancels the run.
-            std::thread::sleep(Duration::from_millis(1));
-            continue;
-        }
-        if fault.should_panic_shard(me as u64) {
-            let payload = catch_unwind(|| panic!("injected fault: shard {me} panic"))
-                .expect_err("closure panics");
-            let err = SimError::from_panic(None, &*payload);
-            ctl.record_error(err.clone());
-            return Err(err);
-        }
-
-        let mut moved = 0u64;
-        while let Ok(msg) = rx.try_recv() {
-            deliver_local(&mut local, &g2l, msg);
-            moved += 1;
-        }
-
-        let mut handled = 0u64;
-        let mut routed = 0u64;
-        for li in 0..local.len() {
-            if local[li].is_done() {
+        let ended: Result<(), Halt> = 'run: loop {
+            if self.ctl.is_cancelled() {
+                break Err(Halt::Cancelled);
+            }
+            if fault.is_wedged() {
+                // Hold the shard without ticking progress until the
+                // watchdog cancels the run.
+                std::thread::sleep(Duration::from_millis(1));
                 continue;
             }
-            let gid = local[li].id;
-            let sampled = (recorder.is_enabled() && activations & HOT_SAMPLE_MASK == 0)
-                .then(Instant::now);
-            let core = &mut local[li];
-            let n = match catch_unwind(AssertUnwindSafe(|| core.activate(&mut out))) {
-                Ok(n) => n,
-                Err(payload) => {
-                    let err = SimError::from_panic(Some(gid), &*payload);
-                    ctl.record_error(err.clone());
-                    return Err(err);
-                }
-            };
-            if let Some(start) = sampled {
-                tracer.complete(SpanKind::NodeRun, gid as u64, n, start);
+            if fault.should_panic_shard(me as u64) {
+                let payload = catch_unwind(|| panic!("injected fault: shard {me} panic"))
+                    .expect_err("closure panics");
+                break Err(Halt::Failed(SimError::from_panic(None, &*payload)));
             }
-            activations += 1;
-            handled += n;
-            routed += out.len() as u64;
-            for msg in out.drain(..) {
-                let dst = match &msg {
-                    OutMsg::Event { dst, .. }
-                    | OutMsg::Promise { dst, .. }
-                    | OutMsg::Null { dst, .. } => *dst,
-                };
-                let s = assignment[dst];
-                if s == me {
-                    deliver_local(&mut local, &g2l, msg);
+
+            // One sweep over the shard's components. Remote sends are
+            // staged in the mailbox and handed over a batch at a time.
+            let before = (done.handled, done.routed);
+            for li in 0..self.local.len() {
+                // Drain before every activation, not just once a sweep
+                // (free while the inbox is empty): the peer publishes a
+                // batch at a time and stalls once this inbox holds
+                // `mailbox_capacity` messages.
+                self.drain_inbox();
+                if self.local[li].is_done() {
                     continue;
                 }
-                // Bounded-mailbox backpressure: when the destination is
-                // full, drain our own inbox (breaking send cycles)
-                // before retrying.
-                let mut pending = Some(msg);
-                while let Some(m) = pending.take() {
-                    match txs[s].try_send(m) {
-                        Ok(()) => {}
-                        Err(TrySendError::Full(m)) => {
-                            pending = Some(m);
-                            let mut drained = false;
-                            while let Ok(inmsg) = rx.try_recv() {
-                                deliver_local(&mut local, &g2l, inmsg);
-                                moved += 1;
-                                drained = true;
-                            }
-                            if ctl.is_cancelled() {
-                                return Ok(shard_done(
-                                    &local,
-                                    handled_total + handled,
-                                    routed_total + routed,
-                                    activations,
-                                ));
-                            }
-                            if !drained {
-                                std::thread::sleep(Duration::from_micros(50));
-                            }
-                        }
-                        Err(TrySendError::Disconnected(_)) => {
-                            if ctl.is_cancelled() {
-                                return Ok(shard_done(
-                                    &local,
-                                    handled_total + handled,
-                                    routed_total + routed,
-                                    activations,
-                                ));
-                            }
-                            let err = SimError::invariant(format!(
-                                "model-sharded: shard {me} sent to exited shard {s}"
-                            ));
-                            ctl.record_error(err.clone());
-                            return Err(err);
-                        }
+                let gid = self.local[li].id;
+                let sampled = (recorder.is_enabled() && done.activations & HOT_SAMPLE_MASK == 0)
+                    .then(Instant::now);
+                let core = &mut self.local[li];
+                let n = match catch_unwind(AssertUnwindSafe(|| core.activate(&mut out))) {
+                    Ok(n) => n,
+                    Err(payload) => {
+                        break 'run Err(Halt::Failed(SimError::from_panic(Some(gid), &*payload)))
+                    }
+                };
+                if let Some(start) = sampled {
+                    self.tracer
+                        .complete(SpanKind::NodeRun, gid as u64, n, start);
+                }
+                done.activations += 1;
+                done.handled += n;
+                done.routed += out.len() as u64;
+                for msg in out.drain(..) {
+                    let s = self.assignment[msg.dst()];
+                    if s == me {
+                        self.deliver_local(msg);
+                    } else if let Err(halt) = self.send(s, msg) {
+                        break 'run Err(halt);
                     }
                 }
             }
-        }
-        handled_total += handled;
-        routed_total += routed;
-        ctl.tick_n(handled + routed + moved);
+            let (handled, routed) = (done.handled - before.0, done.routed - before.1);
+            // End of the sweep: publish what is still staged. This is
+            // also the flush before the blocking wait below, and before
+            // this shard's exit.
+            if let Err(halt) = self.flush() {
+                break Err(halt);
+            }
+            let moved = std::mem::take(&mut self.moved);
+            self.ctl.tick_n(handled + routed + moved);
 
-        if local.iter().all(|c| c.is_done()) {
-            return Ok(shard_done(&local, handled_total, routed_total, activations));
+            if self.local.iter().all(|c| c.is_done()) {
+                break Ok(());
+            }
+            if handled == 0 && routed == 0 && moved == 0 {
+                // Nothing local to do: block briefly for upstream traffic,
+                // re-checking cancellation at a human-invisible cadence.
+                match self.mailbox.recv_timeout(Duration::from_millis(1)) {
+                    Ok(msg) => {
+                        self.deliver_local(msg);
+                        self.ctl.tick();
+                    }
+                    Err(RecvTimeoutError::Timeout) => {}
+                    // Every peer is gone and this shard is not done: the
+                    // run failed elsewhere. Wait for the cancellation.
+                    Err(RecvTimeoutError::Disconnected) => {
+                        std::thread::sleep(Duration::from_millis(1))
+                    }
+                }
+            }
+        };
+        if let Err(Halt::Failed(err)) = ended {
+            self.ctl.record_error(err.clone());
+            return Err(err);
         }
-        if handled == 0 && routed == 0 && moved == 0 {
-            // Nothing local to do: block briefly for upstream traffic,
-            // re-checking cancellation at a human-invisible cadence.
-            if let Ok(msg) = rx.recv_timeout(Duration::from_millis(1)) {
-                deliver_local(&mut local, &g2l, msg);
-                ctl.tick();
+        done.comps = self.local.iter().map(collect_comp).collect();
+        Ok(done)
+    }
+
+    fn deliver_local(&mut self, msg: OutMsg<P>) {
+        let li = self.g2l[msg.dst()];
+        deliver(&mut self.local[li], msg);
+    }
+
+    /// Take everything published to this shard's inbox.
+    fn drain_inbox(&mut self) -> u64 {
+        let mut n = 0;
+        while let Ok(msg) = self.mailbox.try_recv() {
+            self.deliver_local(msg);
+            n += 1;
+        }
+        self.moved += n;
+        n
+    }
+
+    /// Stage `msg` toward shard `dst`, under the fabric's backpressure
+    /// contract.
+    fn send(&mut self, dst: usize, mut msg: OutMsg<P>) -> Result<(), Halt> {
+        loop {
+            match self.mailbox.try_send(dst, msg) {
+                Ok(()) => return Ok(()),
+                Err(TrySendError::Full(m)) => {
+                    msg = m;
+                    self.tracer.instant(
+                        SpanKind::MailboxStall,
+                        dst as u64,
+                        self.mailbox.inbox_len() as u64,
+                    );
+                    self.relieve()?;
+                }
+                Err(TrySendError::Disconnected) if self.ctl.is_cancelled() => {
+                    return Err(Halt::Cancelled)
+                }
+                Err(TrySendError::Disconnected) => {
+                    return Err(Halt::Failed(SimError::invariant(format!(
+                        "model-sharded: shard {} sent to exited shard {dst}",
+                        self.mailbox.shard()
+                    ))))
+                }
             }
         }
     }
-}
 
-fn deliver_local<P: Payload>(local: &mut [CompCore<P>], g2l: &[usize], msg: OutMsg<P>) {
-    let dst = match &msg {
-        OutMsg::Event { dst, .. } | OutMsg::Promise { dst, .. } | OutMsg::Null { dst, .. } => *dst,
-    };
-    deliver(&mut local[g2l[dst]], msg);
+    /// Publish everything staged, however long the destinations take to
+    /// make room.
+    fn flush(&mut self) -> Result<(), Halt> {
+        while !self.mailbox.flush() {
+            self.relieve()?;
+        }
+        Ok(())
+    }
+
+    /// A destination is full: drain our own inbox (which is what breaks
+    /// a send cycle between two full shards) before the caller retries.
+    fn relieve(&mut self) -> Result<(), Halt> {
+        let drained = self.drain_inbox();
+        if self.ctl.is_cancelled() {
+            return Err(Halt::Cancelled);
+        }
+        if drained == 0 {
+            // Nothing of ours to drain: the destination is busy, not
+            // blocked on us.
+            std::thread::sleep(Duration::from_micros(50));
+        }
+        Ok(())
+    }
 }

@@ -70,6 +70,17 @@ pub(crate) enum OutMsg<P> {
     Null { dst: usize, port: usize },
 }
 
+impl<P> OutMsg<P> {
+    /// The component this message is for.
+    pub(crate) fn dst(&self) -> usize {
+        match self {
+            OutMsg::Event { dst, .. } | OutMsg::Promise { dst, .. } | OutMsg::Null { dst, .. } => {
+                *dst
+            }
+        }
+    }
+}
+
 /// A staged (not yet released) emission on one outbound link.
 struct Staged<P> {
     ts: Timestamp,

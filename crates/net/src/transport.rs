@@ -2,12 +2,12 @@
 //!
 //! The sharded conservative engine (in `des-core`) is written against
 //! [`Link`]: one per shard, offering non-blocking send toward any shard,
-//! receive from the shard's own inbox, and an explicit [`Link::flush`]
-//! for transports that coalesce messages. Two implementations exist:
+//! receive from the shard's own inbox, and an explicit [`Link::flush`],
+//! because both transports coalesce messages. Two implementations exist:
 //!
-//! * [`Loopback`] — wraps the in-process bounded crossbeam mailboxes
-//!   from `shard::comm` one-to-one. No batching, no framing, no copies:
-//!   the single-process engine keeps its exact pre-transport behavior.
+//! * [`Loopback`] — one [`shard::comm::Mailbox`] of the in-process
+//!   batched fabric: sends are staged per destination and handed over a
+//!   batch at a time, [`Link::flush`] being the publish point.
 //! * [`crate::tcp::TcpEndpoint`] — routes messages for remote shards
 //!   through batched, checksummed frames over sockets.
 //!
@@ -19,36 +19,16 @@
 use std::time::Duration;
 
 use fault::LinkSnapshot;
-use shard::comm::{self, Endpoint, ShardMsg};
+use shard::comm::{self, DepthProbe, Mailbox, ShardMsg};
 use shard::partition::ShardId;
 
+// The fabric's own error vocabulary: `Full` hands the message back so
+// the caller can drain its own inbox and retry; `Disconnected` means the
+// destination (or, receiving, every sender) is gone.
+pub use shard::comm::{RecvTimeoutError, TryRecvError};
+
 /// Why a non-blocking send did not complete.
-#[derive(Debug, PartialEq, Eq)]
-pub enum TrySendError {
-    /// The destination mailbox (or outbound queue) is full; the message
-    /// is handed back so the caller can drain its own inbox and retry.
-    Full(ShardMsg),
-    /// The destination is gone (peer process died or fabric torn down).
-    Disconnected,
-}
-
-/// Why a non-blocking receive returned nothing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TryRecvError {
-    /// Inbox currently empty.
-    Empty,
-    /// All senders are gone; nothing will ever arrive.
-    Disconnected,
-}
-
-/// Why a bounded-wait receive returned nothing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecvTimeoutError {
-    /// Nothing arrived within the wait.
-    Timeout,
-    /// All senders are gone; nothing will ever arrive.
-    Disconnected,
-}
+pub type TrySendError = comm::TrySendError<ShardMsg>;
 
 /// The link's peer is unreachable; queued traffic cannot be delivered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,7 +64,9 @@ impl LinkStats {
 /// shard, source shard) the transport is FIFO, and [`Link::try_send`]
 /// returning [`TrySendError::Full`] is the backpressure signal — the
 /// caller must drain its own inbox before retrying, which is what keeps
-/// cyclic shard topologies deadlock-free.
+/// cyclic shard topologies deadlock-free. A sent message may sit in a
+/// coalescing buffer until [`Link::flush`]: call it before blocking on
+/// the inbox, or a peer may wait for what this link still holds.
 pub trait Link: Send {
     /// The shard this link belongs to.
     fn shard(&self) -> ShardId;
@@ -98,7 +80,7 @@ pub trait Link: Send {
     /// Pop one message, waiting up to `timeout` for one to arrive.
     fn recv_timeout(&mut self, timeout: Duration) -> Result<ShardMsg, RecvTimeoutError>;
 
-    /// Number of messages waiting in this shard's inbox.
+    /// Number of messages (not batches) waiting in this shard's inbox.
     fn inbox_len(&self) -> usize;
 
     /// Push any coalesced traffic toward the wire. Returns `Ok(true)`
@@ -107,13 +89,22 @@ pub trait Link: Send {
     /// drain its inbox and call again).
     fn flush(&mut self) -> Result<bool, LinkClosed>;
 
+    /// The caller finished one unit of work (a node run): hand over what
+    /// it sent, if that costs no more than a lock. The loopback link
+    /// publishes its staged batches; the TCP link keeps coalescing toward
+    /// its frame threshold (a frame per node run would undo its
+    /// batching), so by default this does nothing. Best effort: whatever
+    /// stays behind goes out with the next [`Link::flush`].
+    fn publish(&mut self) {}
+
     /// Transport counters accumulated so far.
     fn stats(&self) -> LinkStats;
 }
 
 /// Watchdog's read-only view of the fabric.
 pub trait FabricProbe: Send + Sync {
-    /// Depth of every local shard inbox, indexed by local shard order.
+    /// Depth of every local shard inbox in messages, indexed by local
+    /// shard order.
     fn inbox_depths(&self) -> Vec<usize>;
 
     /// Per-peer transport depths. Empty for in-process fabrics.
@@ -121,54 +112,43 @@ pub trait FabricProbe: Send + Sync {
 }
 
 // ---------------------------------------------------------------------------
-// Loopback: the in-process fabric, unchanged semantics.
+// Loopback: the in-process batched fabric.
 
-/// In-process link: a thin wrapper over one `shard::comm::Endpoint`.
+/// In-process link: one mailbox of `shard::comm`'s batched fabric.
 pub struct Loopback {
-    ep: Endpoint,
+    mailbox: Mailbox<ShardMsg>,
 }
 
 impl Link for Loopback {
     fn shard(&self) -> ShardId {
-        self.ep.shard
+        self.mailbox.shard()
     }
 
     fn try_send(&mut self, dst: ShardId, msg: ShardMsg) -> Result<(), TrySendError> {
-        match self.ep.txs[dst].try_send(msg) {
-            Ok(()) => Ok(()),
-            Err(crossbeam::channel::TrySendError::Full(m)) => Err(TrySendError::Full(m)),
-            Err(crossbeam::channel::TrySendError::Disconnected(_)) => {
-                Err(TrySendError::Disconnected)
-            }
-        }
+        self.mailbox.try_send(dst, msg)
     }
 
     fn try_recv(&mut self) -> Result<ShardMsg, TryRecvError> {
-        match self.ep.rx.try_recv() {
-            Ok(m) => Ok(m),
-            Err(crossbeam::channel::TryRecvError::Empty) => Err(TryRecvError::Empty),
-            Err(crossbeam::channel::TryRecvError::Disconnected) => Err(TryRecvError::Disconnected),
-        }
+        self.mailbox.try_recv()
     }
 
     fn recv_timeout(&mut self, timeout: Duration) -> Result<ShardMsg, RecvTimeoutError> {
-        match self.ep.rx.recv_timeout(timeout) {
-            Ok(m) => Ok(m),
-            Err(crossbeam::channel::RecvTimeoutError::Timeout) => Err(RecvTimeoutError::Timeout),
-            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
-                Err(RecvTimeoutError::Disconnected)
-            }
-        }
+        self.mailbox.recv_timeout(timeout)
     }
 
     fn inbox_len(&self) -> usize {
-        self.ep.rx.len()
+        self.mailbox.inbox_len()
     }
 
     fn flush(&mut self) -> Result<bool, LinkClosed> {
-        // Sends go straight into the destination mailbox; there is
-        // nothing to coalesce.
-        Ok(true)
+        // A vanished destination is not an error here: what was staged
+        // toward it is dropped like mail in a channel nobody reads, and
+        // the engine learns of a failed run through cancellation.
+        Ok(self.mailbox.flush())
+    }
+
+    fn publish(&mut self) {
+        self.mailbox.flush();
     }
 
     fn stats(&self) -> LinkStats {
@@ -176,15 +156,15 @@ impl Link for Loopback {
     }
 }
 
-/// Depth probe for the loopback fabric: cloned senders whose `len()`
-/// reads each inbox without participating in the protocol.
+/// Depth probe for the loopback fabric: reads every inbox's depth in
+/// messages without participating in the protocol.
 pub struct LoopbackProbe {
-    probes: Vec<crossbeam::channel::Sender<ShardMsg>>,
+    depths: DepthProbe<ShardMsg>,
 }
 
 impl FabricProbe for LoopbackProbe {
     fn inbox_depths(&self) -> Vec<usize> {
-        self.probes.iter().map(|p| p.len()).collect()
+        self.depths.depths()
     }
 
     fn link_depths(&self) -> Vec<LinkSnapshot> {
@@ -195,9 +175,12 @@ impl FabricProbe for LoopbackProbe {
 /// Build the in-process fabric: one [`Loopback`] link per shard plus a
 /// depth probe for the watchdog.
 pub fn loopback(num_shards: usize, capacity: usize) -> (Vec<Loopback>, LoopbackProbe) {
-    let (eps, probes) = comm::endpoints(num_shards, capacity);
-    let links = eps.into_iter().map(|ep| Loopback { ep }).collect();
-    (links, LoopbackProbe { probes })
+    let (mailboxes, depths) = comm::fabric(num_shards, capacity);
+    let links = mailboxes
+        .into_iter()
+        .map(|mailbox| Loopback { mailbox })
+        .collect();
+    (links, LoopbackProbe { depths })
 }
 
 #[cfg(test)]
@@ -223,22 +206,31 @@ mod tests {
         let mut l0 = links.pop().unwrap();
         assert_eq!(l0.shard(), 0);
 
+        // Capacity 2 stages two messages and publishes them together.
         l0.try_send(1, msg(1)).unwrap();
+        assert_eq!(probe.inbox_depths(), vec![0, 0], "staged, not published");
         l0.try_send(1, msg(2)).unwrap();
         assert_eq!(probe.inbox_depths(), vec![0, 2]);
-        assert!(matches!(l0.try_send(1, msg(3)), Err(TrySendError::Full(_))));
+        l0.try_send(1, msg(3)).unwrap();
+        l0.try_send(1, msg(4)).unwrap();
+        assert_eq!(l0.flush(), Ok(false), "inbox full: two stay staged");
+        assert!(matches!(l0.try_send(1, msg(5)), Err(TrySendError::Full(_))));
 
         assert!(matches!(l1.try_recv(), Ok(ShardMsg::Event { time: 1, .. })));
+        assert_eq!(l1.inbox_len(), 1, "a partly consumed batch still counts");
+        assert_eq!(probe.inbox_depths(), vec![0, 1]);
         assert!(matches!(l1.try_recv(), Ok(ShardMsg::Event { time: 2, .. })));
         assert_eq!(l1.try_recv(), Err(TryRecvError::Empty));
         assert_eq!(l0.flush(), Ok(true));
+        assert!(matches!(l1.try_recv(), Ok(ShardMsg::Event { time: 3, .. })));
+        assert!(matches!(l1.try_recv(), Ok(ShardMsg::Event { time: 4, .. })));
         assert!(probe.link_depths().is_empty());
         assert_eq!(l0.stats(), LinkStats::default());
     }
 
     #[test]
     fn recv_timeout_times_out_when_idle() {
-        let (mut links, _probe) = loopback(1, 1);
+        let (mut links, _probe) = loopback(2, 1);
         let err = links[0].recv_timeout(Duration::from_millis(1));
         assert_eq!(err, Err(RecvTimeoutError::Timeout));
     }

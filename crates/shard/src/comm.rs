@@ -1,12 +1,13 @@
 //! Cross-shard communication: bounded mailboxes carrying timestamped
 //! events and NULL messages.
 //!
-//! Each shard owns one bounded MPSC inbox; every other shard holds a
-//! sender to it. Because each circuit input port is fed by exactly one
-//! edge, and the source node emits on each of its out-edges in
-//! nondecreasing timestamp order, FIFO channel delivery preserves the
-//! per-port nondecreasing-arrival invariant the Chandy–Misra cores rely
-//! on — no reordering buffer is needed at the receiver.
+//! Each shard owns one bounded inbox; every other shard holds a handle
+//! to it. Because each circuit input port is fed by exactly one edge,
+//! and the source node emits on each of its out-edges in nondecreasing
+//! timestamp order, FIFO delivery per (source shard, destination shard)
+//! preserves the per-port nondecreasing-arrival invariant the
+//! Chandy–Misra cores rely on — no reordering buffer is needed at the
+//! receiver.
 //!
 //! Two message kinds cross a cut edge:
 //!
@@ -19,11 +20,39 @@
 //!   shard advance its local clocks — and process events that were
 //!   already safe — without waiting for a payload event.
 //!
-//! Mailboxes are bounded. A full inbox exerts backpressure on the
-//! sending shard; the engine's send loop drains its own inbox while
-//! retrying (see `des::engine::sharded`), which is what keeps the
-//! shard-level cycle `A ⇄ B` deadlock-free even though both mailboxes
-//! may momentarily be full.
+//! ## The batched fabric
+//!
+//! [`fabric`] builds the mailboxes the engines run on, generic over the
+//! message type (`ShardMsg` for the circuit engines, the model layer's
+//! own message for `model-sharded`). A [`Mailbox`] *stages* outgoing
+//! messages per destination and *publishes* a staged run with one
+//! synchronising operation — one lock of the destination inbox, however
+//! many messages ride along — when the staging buffer fills and whenever
+//! the owner calls [`Mailbox::flush`] (end of a sweep or node run, and
+//! before any blocking wait). The receiver takes everything published
+//! with one operation too. What the per-message channel guaranteed still
+//! holds:
+//!
+//! * **FIFO per (source, destination)**: staging is per destination and
+//!   published from the front, so a control marker can never overtake a
+//!   payload message staged before it;
+//! * **bounded**: an inbox holds at most `capacity` published messages
+//!   and a staging buffer at most `min(capacity, MAX_BATCH)`; both are
+//!   allocated once, at exactly that size, so the message path allocates
+//!   nothing;
+//! * **backpressure**: [`Mailbox::try_send`] answers
+//!   [`TrySendError::Full`] when the destination has no room. The caller
+//!   must drain its own inbox before retrying, which is what keeps the
+//!   shard-level cycle `A ⇄ B` deadlock-free even though both mailboxes
+//!   may momentarily be full.
+//!
+//! With `capacity == 1` every send publishes on its own: the fabric
+//! degrades to the per-message hand-off.
+
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::time::{Duration, Instant};
 
 use circuit::{Circuit, Logic, NodeId, Target};
 use crossbeam::channel::{bounded, Receiver, Sender};
@@ -86,8 +115,9 @@ impl ShardMsg {
     }
 }
 
-/// One shard's view of the mailbox fabric: its own inbox plus a sender
-/// to every shard (index = destination shard id).
+/// One shard's end of the unbatched crossbeam fabric [`endpoints`]
+/// builds: its own inbox plus a sender to every shard (index =
+/// destination shard id).
 pub struct Endpoint {
     /// This endpoint's shard id.
     pub shard: ShardId,
@@ -97,9 +127,12 @@ pub struct Endpoint {
     pub txs: Vec<Sender<ShardMsg>>,
 }
 
-/// Build the full K×K mailbox fabric. Returns one [`Endpoint`] per shard
-/// plus one depth probe per inbox (a cloned sender the watchdog reads
-/// `len()` from without participating in the protocol).
+/// Build a K×K fabric of plain bounded channels: one channel operation
+/// per message. No engine runs on it any more (see [`fabric`]); it stays
+/// as the per-message reference the repository benchmark's
+/// `shard.mailbox_ns_per_msg` probe times. Returns one [`Endpoint`] per
+/// shard plus one depth probe per inbox (a cloned sender to read `len()`
+/// from).
 pub fn endpoints(num_shards: usize, capacity: usize) -> (Vec<Endpoint>, Vec<Sender<ShardMsg>>) {
     assert!(num_shards > 0 && capacity > 0);
     let mut txs = Vec::with_capacity(num_shards);
@@ -120,6 +153,328 @@ pub fn endpoints(num_shards: usize, capacity: usize) -> (Vec<Endpoint>, Vec<Send
         })
         .collect();
     (endpoints, probes)
+}
+
+// ---------------------------------------------------------------------------
+// The batched fabric.
+
+/// Most messages one publish carries. Past a few hundred messages the
+/// synchronising operation is already amortised to nothing, and a larger
+/// staging buffer would only delay delivery and cost memory per directed
+/// pair.
+const MAX_BATCH: usize = 256;
+
+/// How long a blocking receive polls for a publish before it parks. A
+/// park plus the publisher's wake-up call cost tens of microseconds
+/// between them; shards that trade clock promises every few microseconds
+/// usually have the answer on its way already.
+const SPIN_BEFORE_PARK: Duration = Duration::from_micros(20);
+
+/// Why [`Mailbox::try_send`] did not take the message.
+#[derive(Debug, PartialEq, Eq)]
+pub enum TrySendError<M> {
+    /// The destination inbox has no room; the message is handed back so
+    /// the caller can drain its own inbox and retry.
+    Full(M),
+    /// The destination shard dropped its mailbox (it exited, or the run
+    /// is being torn down).
+    Disconnected,
+}
+
+/// Why a non-blocking receive returned nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TryRecvError {
+    /// Nothing is published to this inbox right now.
+    Empty,
+    /// Every other mailbox is gone; nothing will ever arrive.
+    Disconnected,
+}
+
+/// Why a bounded-wait receive returned nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RecvTimeoutError {
+    /// Nothing was published within the wait.
+    Timeout,
+    /// Every other mailbox is gone; nothing will ever arrive.
+    Disconnected,
+}
+
+struct InboxState<M> {
+    /// Published and not yet taken, in publish order.
+    queue: VecDeque<M>,
+    /// The owner is blocked on `not_empty`: a publisher must notify.
+    /// Tracked so that a publish nobody waits for costs no wake-up call.
+    parked: bool,
+}
+
+struct Inbox<M> {
+    state: Mutex<InboxState<M>>,
+    not_empty: Condvar,
+    /// `state.queue.len()`, stored under the lock and read without it:
+    /// by the owner, to skip the lock while nothing is published, and by
+    /// depth probes.
+    published: AtomicUsize,
+    /// Messages the owner has taken but not yet consumed (its local
+    /// remainder of the last take); the other half of the depth.
+    taken: AtomicUsize,
+    /// Live mailboxes of *other* shards.
+    senders: AtomicUsize,
+    /// False once the owning mailbox is dropped.
+    alive: AtomicBool,
+}
+
+impl<M> Inbox<M> {
+    fn lock(&self) -> MutexGuard<'_, InboxState<M>> {
+        // Only queue moves within preallocated capacity run under this
+        // lock, so a poisoned guard still protects a consistent queue.
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn depth(&self) -> usize {
+        self.published.load(Ordering::Relaxed) + self.taken.load(Ordering::Relaxed)
+    }
+}
+
+struct Shared<M> {
+    inboxes: Vec<Inbox<M>>,
+    capacity: usize,
+}
+
+/// One shard's handle on the batched fabric: its inbox plus a staging
+/// buffer toward every shard. See the module docs for the contract.
+pub struct Mailbox<M> {
+    shard: ShardId,
+    shared: Arc<Shared<M>>,
+    /// Staged, unpublished messages, indexed by destination shard.
+    stage: Vec<Vec<M>>,
+    /// Messages staged over all destinations, so that a flush with
+    /// nothing to do costs one comparison.
+    staged: usize,
+    /// Capacity of each staging buffer.
+    batch: usize,
+    /// The owner's remainder of the last take, oldest first.
+    taken: VecDeque<M>,
+}
+
+/// Read-only view of every inbox's depth, for watchdogs. Depths are in
+/// *messages*: published ones plus what the owner took in its last
+/// receive operation and has not consumed yet.
+pub struct DepthProbe<M> {
+    shared: Arc<Shared<M>>,
+}
+
+impl<M> DepthProbe<M> {
+    /// Depth of every inbox, indexed by shard id.
+    pub fn depths(&self) -> Vec<usize> {
+        self.shared.inboxes.iter().map(Inbox::depth).collect()
+    }
+}
+
+/// Build the batched K×K fabric: one [`Mailbox`] per shard, each inbox
+/// holding at most `capacity` published messages, plus a depth probe.
+pub fn fabric<M>(num_shards: usize, capacity: usize) -> (Vec<Mailbox<M>>, DepthProbe<M>) {
+    assert!(num_shards > 0 && capacity > 0);
+    let shared = Arc::new(Shared {
+        inboxes: (0..num_shards)
+            .map(|_| Inbox {
+                state: Mutex::new(InboxState {
+                    queue: VecDeque::with_capacity(capacity),
+                    parked: false,
+                }),
+                not_empty: Condvar::new(),
+                published: AtomicUsize::new(0),
+                taken: AtomicUsize::new(0),
+                senders: AtomicUsize::new(num_shards - 1),
+                alive: AtomicBool::new(true),
+            })
+            .collect(),
+        capacity,
+    });
+    let batch = capacity.min(MAX_BATCH);
+    let mailboxes = (0..num_shards)
+        .map(|shard| Mailbox {
+            shard,
+            shared: Arc::clone(&shared),
+            stage: (0..num_shards)
+                .map(|dst| Vec::with_capacity(if dst == shard { 0 } else { batch }))
+                .collect(),
+            staged: 0,
+            batch,
+            taken: VecDeque::with_capacity(capacity),
+        })
+        .collect();
+    (mailboxes, DepthProbe { shared })
+}
+
+impl<M> Mailbox<M> {
+    /// The shard this mailbox belongs to.
+    pub fn shard(&self) -> ShardId {
+        self.shard
+    }
+
+    /// Stage `msg` toward shard `dst` without blocking; a staging buffer
+    /// that fills is published at once. `Full` means the buffer is full
+    /// *and* `dst`'s inbox has no room for any of it: drain your own
+    /// inbox, then retry.
+    pub fn try_send(&mut self, dst: ShardId, msg: M) -> Result<(), TrySendError<M>> {
+        if !self.shared.inboxes[dst].alive.load(Ordering::Acquire) {
+            return Err(TrySendError::Disconnected);
+        }
+        if self.stage[dst].len() >= self.batch {
+            self.publish(dst);
+            if self.stage[dst].len() >= self.batch {
+                return Err(TrySendError::Full(msg));
+            }
+        }
+        self.stage[dst].push(msg);
+        self.staged += 1;
+        if self.stage[dst].len() >= self.batch {
+            self.publish(dst);
+        }
+        Ok(())
+    }
+
+    /// Publish every staged message its destination has room for.
+    /// Returns `true` once nothing remains staged, `false` if some inbox
+    /// was full (drain your own inbox and call again).
+    pub fn flush(&mut self) -> bool {
+        for dst in 0..self.stage.len() {
+            if self.staged == 0 {
+                break;
+            }
+            if !self.stage[dst].is_empty() {
+                self.publish(dst);
+            }
+        }
+        self.staged == 0
+    }
+
+    /// Move as many staged messages as fit into `dst`'s inbox, oldest
+    /// first: one lock, whatever the count. Messages staged toward a
+    /// mailbox that has since been dropped are discarded, exactly as
+    /// messages queued in a channel nobody will read again.
+    fn publish(&mut self, dst: ShardId) {
+        let stage = &mut self.stage[dst];
+        let inbox = &self.shared.inboxes[dst];
+        let mut st = inbox.lock();
+        if !inbox.alive.load(Ordering::Acquire) {
+            self.staged -= stage.len();
+            stage.clear();
+            return;
+        }
+        let room = self.shared.capacity - st.queue.len();
+        let n = room.min(stage.len());
+        if n == 0 {
+            return;
+        }
+        self.staged -= n;
+        st.queue.extend(stage.drain(..n));
+        inbox.published.store(st.queue.len(), Ordering::Release);
+        let wake = st.parked;
+        drop(st);
+        if wake {
+            inbox.not_empty.notify_one();
+        }
+    }
+
+    /// Pop the next message without blocking. Takes everything published
+    /// in one operation when the local remainder runs out.
+    pub fn try_recv(&mut self) -> Result<M, TryRecvError> {
+        if let Some(msg) = self.pop_taken() {
+            return Ok(msg);
+        }
+        let inbox = &self.shared.inboxes[self.shard];
+        // `senders` before `published`: a mailbox publishes what it has
+        // before it counts itself out, so "no senders" read first makes
+        // "nothing published" final.
+        let gone = inbox.senders.load(Ordering::Acquire) == 0;
+        if inbox.published.load(Ordering::Acquire) == 0 {
+            return Err(if gone {
+                TryRecvError::Disconnected
+            } else {
+                TryRecvError::Empty
+            });
+        }
+        Self::take(&mut self.taken, inbox, inbox.lock());
+        Ok(self.pop_taken().expect("took a non-empty queue"))
+    }
+
+    /// Pop the next message, waiting up to `timeout` for a publish.
+    pub fn recv_timeout(&mut self, timeout: Duration) -> Result<M, RecvTimeoutError> {
+        if let Some(msg) = self.pop_taken() {
+            return Ok(msg);
+        }
+        let start = Instant::now();
+        let deadline = start + timeout;
+        let inbox = &self.shared.inboxes[self.shard];
+        // Poll briefly before parking.
+        let spin_until = start + timeout.min(SPIN_BEFORE_PARK);
+        while inbox.published.load(Ordering::Acquire) == 0 && Instant::now() < spin_until {
+            std::thread::yield_now();
+        }
+        let mut st = inbox.lock();
+        while st.queue.is_empty() {
+            if inbox.senders.load(Ordering::Acquire) == 0 {
+                return Err(RecvTimeoutError::Disconnected);
+            }
+            let now = Instant::now();
+            if now >= deadline {
+                return Err(RecvTimeoutError::Timeout);
+            }
+            st.parked = true;
+            st = inbox
+                .not_empty
+                .wait_timeout(st, deadline - now)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+            st.parked = false;
+        }
+        Self::take(&mut self.taken, inbox, st);
+        Ok(self.pop_taken().expect("took a non-empty queue"))
+    }
+
+    /// Messages waiting for this shard: published plus taken and not yet
+    /// consumed.
+    pub fn inbox_len(&self) -> usize {
+        self.shared.inboxes[self.shard].depth()
+    }
+
+    /// Swap the owner's (empty) local remainder with the published
+    /// queue: the whole batch changes hands in one operation.
+    fn take(taken: &mut VecDeque<M>, inbox: &Inbox<M>, mut st: MutexGuard<'_, InboxState<M>>) {
+        debug_assert!(taken.is_empty());
+        std::mem::swap(taken, &mut st.queue);
+        inbox.taken.store(taken.len(), Ordering::Relaxed);
+        inbox.published.store(0, Ordering::Release);
+    }
+
+    fn pop_taken(&mut self) -> Option<M> {
+        let msg = self.taken.pop_front()?;
+        self.shared.inboxes[self.shard]
+            .taken
+            .store(self.taken.len(), Ordering::Relaxed);
+        Some(msg)
+    }
+}
+
+impl<M> Drop for Mailbox<M> {
+    fn drop(&mut self) {
+        for (shard, inbox) in self.shared.inboxes.iter().enumerate() {
+            if shard == self.shard {
+                // Under the lock, so that a publisher either sees the
+                // flag or finishes its publish before it is set.
+                let _st = inbox.lock();
+                inbox.alive.store(false, Ordering::Release);
+            } else if inbox.senders.fetch_sub(1, Ordering::AcqRel) == 1 {
+                // Last sender gone: a parked owner must wake up to see
+                // it. Taking the lock orders this after its check.
+                let wake = inbox.lock().parked;
+                if wake {
+                    inbox.not_empty.notify_one();
+                }
+            }
+        }
+    }
 }
 
 /// One outgoing cut edge of a shard: the owned source node, the foreign

@@ -289,6 +289,11 @@ fn sharded_engine_wedge_trips_watchdog() {
         .with_watchdog(Some(WEDGE_DEADLINE));
     let start = Instant::now();
     let result = engine.try_run(&c, &s, &DelayModel::standard());
+    if let Err(SimError::NoProgress { snapshot }) = &result {
+        // One inbox depth per shard, in messages; every shard wedged at
+        // its first node, before anything crossed the cut.
+        assert_eq!(snapshot.queue_depths, vec![0; 4]);
+    }
     assert_no_progress(result, start.elapsed(), "sharded");
 }
 

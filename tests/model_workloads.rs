@@ -212,6 +212,82 @@ fn wedged_run_trips_the_watchdog_with_a_snapshot() {
         SimError::NoProgress { snapshot } => {
             assert_eq!(snapshot.engine, "model-sharded");
             assert!(snapshot.notes.iter().any(|n| n.contains("fault injection")));
+            // Both shards wedged before sending anything.
+            assert_eq!(snapshot.queue_depths, vec![0, 0]);
+        }
+        other => panic!("expected NoProgress, got {other}"),
+    }
+}
+
+/// Emits a burst of `burst` events at start-up, one per tick.
+struct Burst {
+    burst: u64,
+}
+
+impl Component<u64> for Burst {
+    fn on_start(&mut self, ctx: &mut Ctx<'_, u64>) {
+        for i in 0..self.burst {
+            ctx.send(0, i + 1, i);
+        }
+    }
+    fn on_event(&mut self, _src: EventSource, _n: u64, _ctx: &mut Ctx<'_, u64>) {}
+}
+
+/// Hangs in its first handler for `hang`: a user bug that stops its
+/// shard from draining its inbox.
+struct Hang {
+    hang: Duration,
+    hung: bool,
+}
+
+impl Component<u64> for Hang {
+    fn on_event(&mut self, _src: EventSource, _n: u64, _ctx: &mut Ctx<'_, u64>) {
+        if !std::mem::replace(&mut self.hung, true) {
+            std::thread::sleep(self.hang);
+        }
+    }
+}
+
+#[test]
+fn stalled_receiver_shows_its_backlog_in_messages_not_batches() {
+    // Shard 1 hangs in a handler while shard 0 still has a burst to
+    // deliver: shard 1's inbox fills to its capacity of 8 messages (one
+    // published batch), shard 0 stalls on `Full` — tracing a
+    // `MailboxStall` per retry — and the watchdog's snapshot must say 8,
+    // not 1.
+    let mut g = ModelGraph::new(1, 1_000);
+    let a = g.add("a", Burst { burst: 100 });
+    let b = g.add(
+        "b",
+        Hang {
+            hang: Duration::from_millis(400),
+            hung: false,
+        },
+    );
+    g.link(a, b, 1);
+    let recorder = des::Recorder::new(&des::ObsConfig::enabled());
+    let cfg = EngineConfig::new()
+        .with_shards(2)
+        .with_strategy(des::PartitionStrategy::RoundRobin)
+        .with_mailbox_capacity(8)
+        .with_recorder(recorder)
+        .with_watchdog(Some(Duration::from_millis(60)));
+    let err = try_run("model-sharded", &cfg, g).expect_err("the hang must trip the watchdog");
+    match err {
+        SimError::NoProgress { snapshot } => {
+            assert_eq!(snapshot.queue_depths, vec![0, 8], "{snapshot}");
+            assert_eq!(snapshot.workset_size, 8);
+            let stalls = snapshot
+                .traces
+                .iter()
+                .filter(|t| t.thread == "model-shard-0")
+                .flat_map(|t| &t.records)
+                .filter(|r| r.span_kind() == Some(des::SpanKind::MailboxStall))
+                .count();
+            assert!(
+                stalls > 0,
+                "shard 0's Full retries left no MailboxStall: {snapshot}"
+            );
         }
         other => panic!("expected NoProgress, got {other}"),
     }

@@ -7,15 +7,31 @@
 //! allocator hook is process-wide.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 struct CountingAlloc;
 
 static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
 
+thread_local! {
+    /// Only the measuring test thread counts. The harness spawns the
+    /// other test's thread (name, stack, capture buffer: all heap) while
+    /// this one may already be inside its measurement window, and those
+    /// allocations are not the code under test's. Const-initialised and
+    /// without a destructor, so reading it from the allocator is safe.
+    static COUNTED: Cell<bool> = const { Cell::new(false) };
+}
+
+fn count() {
+    if COUNTED.with(Cell::get) {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc(layout)
     }
 
@@ -24,7 +40,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -48,6 +64,7 @@ use des::{ObsConfig, Recorder, SpanKind};
 #[test]
 fn disabled_obs_hot_path_allocates_nothing() {
     let _serial = SERIAL.lock().unwrap();
+    COUNTED.set(true);
     let recorder = Recorder::off();
     let tracer = recorder.tracer("hot");
     let counter = recorder.counter("c", &[("engine", "x")]);
@@ -81,6 +98,7 @@ fn disabled_obs_hot_path_allocates_nothing() {
 #[test]
 fn enabled_obs_is_visible_to_the_allocation_counter() {
     let _serial = SERIAL.lock().unwrap();
+    COUNTED.set(true);
     let before = allocations();
     let recorder = Recorder::new(&ObsConfig::enabled());
     let tracer = recorder.tracer("hot");
