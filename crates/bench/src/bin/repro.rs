@@ -84,6 +84,13 @@ fn parse_args() -> Options {
             exp => opts.experiments.push(exp.to_string()),
         }
     }
+    if let Some(unknown) = des_bench::experiments::first_unknown(&opts.experiments) {
+        eprintln!(
+            "unknown experiment {unknown:?} — known: {}",
+            des_bench::experiments::names_line()
+        );
+        std::process::exit(2);
+    }
     if opts.experiments.is_empty() || opts.experiments.iter().any(|e| e == "all") {
         opts.experiments =
             des_bench::experiments::names().iter().map(|s| s.to_string()).collect();
@@ -127,13 +134,11 @@ fn main() {
     );
     println!();
     for exp in &opts.experiments {
-        match DISPATCH.iter().find(|(name, _)| name == exp) {
-            Some((_, run)) => run(&opts),
-            None => eprintln!(
-                "unknown experiment {exp:?} — known: {}",
-                des_bench::experiments::names_line()
-            ),
-        }
+        let (_, run) = DISPATCH
+            .iter()
+            .find(|(name, _)| name == exp)
+            .expect("parse_args validated every name against the registry DISPATCH mirrors");
+        run(&opts);
     }
 }
 
@@ -351,46 +356,6 @@ fn extensions(opts: &Options) {
             fmt_duration(tws.min),
             fmt_count(tw.sim_stats.aborts),
             fmt_count(tw.sim_stats.wasted_activations),
-        ]);
-    }
-    println!("{}", t.render());
-
-    println!("## Extensions: queueing networks on the generic PDES kernel (§6 future work)");
-    use pdes::kernel::{ParKernel, SeqKernel};
-    use pdes::queueing::{self, NetworkSpec};
-    let horizon = 60_000;
-    let mut t = Table::new([
-        "network", "packets", "mean latency", "payload ev", "null msgs", "seq (min)", "par (min)",
-    ]);
-    for spec in [
-        NetworkSpec::tandem(4, 0.7, 1),
-        NetworkSpec::feedback(0.35, 2),
-        NetworkSpec::ring(4, 0.5, 3),
-        NetworkSpec::jackson(4),
-        NetworkSpec::fork_join(5),
-    ] {
-        let mut seq_times = Vec::new();
-        let mut par_times = Vec::new();
-        let mut result = None;
-        for _ in 0..opts.reps {
-            let t0 = std::time::Instant::now();
-            let r = queueing::run(&spec, &SeqKernel::new(), horizon);
-            seq_times.push(t0.elapsed());
-            let t0 = std::time::Instant::now();
-            let p = queueing::run(&spec, &ParKernel::new(workers), horizon);
-            par_times.push(t0.elapsed());
-            assert_eq!(r.observables(), p.observables(), "kernels agree");
-            result = Some(r);
-        }
-        let r = result.expect("reps >= 1");
-        t.row([
-            spec.name.to_string(),
-            fmt_count(r.sinks[0].received),
-            format!("{:.1} ticks", r.sinks[0].mean_latency()),
-            fmt_count(r.stats.events_delivered),
-            fmt_count(r.stats.nulls_sent),
-            fmt_duration(*seq_times.iter().min().expect("non-empty")),
-            fmt_duration(*par_times.iter().min().expect("non-empty")),
         ]);
     }
     println!("{}", t.render());
@@ -1459,8 +1424,9 @@ fn mem_experiment(opts: &Options) {
     let mut pt = Table::new(["pin policy", "min time", "events/s"]);
     for policy in [PinPolicy::None, PinPolicy::Compact, PinPolicy::Spread] {
         let label = policy.label();
-        let engine = ShardedEngine::from_config(&EngineConfig::default().with_shards(4))
-            .with_pinning(policy);
+        let engine = ShardedEngine::from_config(
+            &EngineConfig::default().with_shards(4).with_pinning(policy),
+        );
         let m = measure(&engine, &w, 1, opts.reps);
         let min = m.summary().min;
         let eps = m.sim_stats.events_delivered as f64 / min.as_secs_f64();

@@ -24,7 +24,7 @@ pub const EXPERIMENTS: &[Experiment] = &[
     Experiment { name: "fig6", summary: "execution time and speedup vs workers (ks128)" },
     Experiment { name: "fig7", summary: "mean execution time ± 95% CI at max workers" },
     Experiment { name: "ablation", summary: "ablation of the §4.5 optimizations" },
-    Experiment { name: "ext", summary: "extension engines: Time Warp, HJ, queueing kernels" },
+    Experiment { name: "ext", summary: "extension engines: Time Warp vs conservative HJ" },
     Experiment { name: "shard", summary: "sharded engine partition quality and cut traffic" },
     Experiment { name: "rebalance", summary: "dynamic shard rebalancing under skew" },
     Experiment { name: "net", summary: "distributed fabric: sockets loopback run" },
@@ -58,6 +58,16 @@ pub fn names_line() -> String {
     line
 }
 
+/// The first requested name that is neither a registered experiment
+/// nor the `all` keyword, if any. `repro` refuses to run anything when
+/// this returns `Some`, so a misspelt name fails a CI step.
+pub fn first_unknown(requested: &[String]) -> Option<&str> {
+    requested
+        .iter()
+        .map(String::as_str)
+        .find(|r| *r != "all" && !EXPERIMENTS.iter().any(|e| e.name == *r))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -77,6 +87,16 @@ mod tests {
                 .chars()
                 .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '-'));
         }
+    }
+
+    #[test]
+    fn unknown_names_are_reported_and_known_ones_accepted() {
+        let req = |names: &[&str]| names.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        assert_eq!(first_unknown(&req(&[])), None);
+        assert_eq!(first_unknown(&req(&names())), None);
+        assert_eq!(first_unknown(&req(&["all", "ext"])), None);
+        assert_eq!(first_unknown(&req(&["bogus"])), Some("bogus"));
+        assert_eq!(first_unknown(&req(&["ext", "phodl", "all"])), Some("phodl"));
     }
 
     #[test]

@@ -41,7 +41,6 @@
 use std::net::{SocketAddr, TcpListener};
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -792,8 +791,19 @@ pub struct TcpShardedEngine {
 }
 
 impl TcpShardedEngine {
-    fn make(num_shards: usize, num_processes: usize, strategy: PartitionStrategy) -> Self {
-        assert!(num_processes > 0, "need at least one process");
+    /// Build the engine from the unified [`EngineConfig`], the one place
+    /// its knobs are set. Note the distributed engine always runs its
+    /// static partition: a configured rebalance policy is ignored (the
+    /// rebalancing protocol is in-process only). A configured fault plan
+    /// is shared by every rank of the in-process harness and each rank
+    /// resets it when it starts, so inject counted faults only where a
+    /// double reset during the connection handshake cannot skew the
+    /// decision stream (e.g. wedges).
+    ///
+    /// # Panics
+    /// If `cfg.processes()` exceeds `cfg.shards()`.
+    pub fn from_config(cfg: &EngineConfig) -> Self {
+        let (num_shards, num_processes) = (cfg.shards(), cfg.processes());
         assert!(
             num_processes <= num_shards,
             "more processes than shards: {num_processes} > {num_shards}"
@@ -801,112 +811,18 @@ impl TcpShardedEngine {
         TcpShardedEngine {
             num_shards,
             num_processes,
-            strategy,
-            mailbox_capacity: 256,
-            batch_msgs: net::DEFAULT_BATCH_MSGS,
-            policy: RunPolicy::new(),
-            checkpoint: None,
-            restore: false,
-            recovery_attempts: 0,
-            pinning: PinPolicy::None,
-            arena_capacity: 0,
+            strategy: cfg.strategy(),
+            mailbox_capacity: cfg.mailbox_capacity(),
+            batch_msgs: cfg.batch_msgs(),
+            policy: cfg.run_policy(),
+            checkpoint: cfg.checkpoint(),
+            restore: cfg.restore(),
+            recovery_attempts: cfg.recovery_attempts(),
+            pinning: cfg.pinning().clone(),
+            arena_capacity: cfg.arena_capacity(),
             telemetry: false,
             fleet: None,
         }
-    }
-
-    /// Build the engine from the unified [`EngineConfig`]. Note the
-    /// distributed engine always runs its static partition: a configured
-    /// rebalance policy is ignored (the rebalancing protocol is
-    /// in-process only).
-    ///
-    /// # Panics
-    /// If `cfg.processes()` is 0 or exceeds `cfg.shards()`.
-    pub fn from_config(cfg: &EngineConfig) -> Self {
-        let mut engine = Self::make(cfg.shards(), cfg.processes(), cfg.strategy());
-        engine.mailbox_capacity = cfg.mailbox_capacity();
-        engine.batch_msgs = cfg.batch_msgs();
-        engine.policy = cfg.run_policy();
-        engine.checkpoint = cfg.checkpoint();
-        engine.restore = cfg.restore();
-        engine.recovery_attempts = cfg.recovery_attempts();
-        engine.pinning = cfg.pinning().clone();
-        engine.arena_capacity = cfg.arena_capacity();
-        engine
-    }
-
-    /// Override the partition strategy.
-    pub fn with_strategy(mut self, strategy: PartitionStrategy) -> Self {
-        self.strategy = strategy;
-        self
-    }
-
-    /// Override the per-shard inbox capacity.
-    pub fn with_mailbox_capacity(mut self, capacity: usize) -> Self {
-        assert!(capacity > 0);
-        self.mailbox_capacity = capacity;
-        self
-    }
-
-    /// Override the per-peer batching threshold (1 disables coalescing).
-    pub fn with_batch_msgs(mut self, batch: usize) -> Self {
-        assert!(batch > 0);
-        self.batch_msgs = batch;
-        self
-    }
-
-    /// Set (or disable) the no-progress watchdog deadline.
-    pub fn with_watchdog(mut self, deadline: Option<Duration>) -> Self {
-        self.policy = self.policy.with_watchdog(deadline);
-        self
-    }
-
-    /// Install a fault plan, shared by every rank of the in-process
-    /// harness. Each rank resets the plan when it starts, so inject
-    /// counted faults only where a double reset during the connection
-    /// handshake cannot skew the decision stream (e.g. wedges).
-    pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.policy = self.policy.with_fault_plan(plan);
-        self
-    }
-
-    /// Write a deterministic checkpoint to `dir` every `every_events`
-    /// delivered events per shard (DESIGN.md §12).
-    pub fn with_checkpoints(mut self, every_events: u64, dir: impl Into<PathBuf>) -> Self {
-        assert!(every_events >= 1);
-        self.checkpoint = Some(CheckpointConfig {
-            every_events,
-            dir: dir.into(),
-        });
-        self
-    }
-
-    /// Start from the newest consistent checkpoint in the configured
-    /// directory instead of from the stimulus.
-    pub fn with_restore(mut self, restore: bool) -> Self {
-        self.restore = restore;
-        self
-    }
-
-    /// After a transport failure or rank crash, tear the fabric down and
-    /// retry the run from the newest consistent checkpoint up to
-    /// `attempts` times (0 disables in-harness recovery). Requires
-    /// checkpoints to be configured.
-    pub fn with_recovery_attempts(mut self, attempts: usize) -> Self {
-        self.recovery_attempts = attempts;
-        self
-    }
-
-    /// Pin each local shard thread to a core per `policy`.
-    pub fn with_pinning(mut self, policy: PinPolicy) -> Self {
-        self.pinning = policy;
-        self
-    }
-
-    /// Pre-size each local shard's event arena (0 = grow on demand).
-    pub fn with_arena(mut self, capacity: usize) -> Self {
-        self.arena_capacity = capacity;
-        self
     }
 
     /// Enable fleet telemetry frames on every link and direct the

@@ -78,7 +78,6 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -139,97 +138,21 @@ pub struct ShardedEngine {
 }
 
 impl ShardedEngine {
-    fn make(num_shards: usize, strategy: PartitionStrategy) -> Self {
-        assert!(num_shards > 0, "need at least one shard");
-        ShardedEngine {
-            num_shards,
-            strategy,
-            mailbox_capacity: DEFAULT_MAILBOX_CAPACITY,
-            policy: RunPolicy::new(),
-            rebalance: None,
-            checkpoint: None,
-            restore: false,
-            pinning: PinPolicy::None,
-            arena_capacity: 0,
-            rank: None,
-        }
-    }
-
-    /// Build the engine from the unified [`EngineConfig`].
+    /// Build the engine from the unified [`EngineConfig`], the one place
+    /// its knobs are set.
     pub fn from_config(cfg: &EngineConfig) -> Self {
-        let mut engine = Self::make(cfg.shards(), cfg.strategy());
-        engine.mailbox_capacity = cfg.mailbox_capacity();
-        engine.policy = cfg.run_policy();
-        engine.rebalance = cfg.rebalance();
-        engine.checkpoint = cfg.checkpoint();
-        engine.restore = cfg.restore();
-        engine.pinning = cfg.pinning().clone();
-        engine.arena_capacity = cfg.arena_capacity();
-        engine.rank = cfg.rank();
-        engine
-    }
-
-    /// Override the per-shard inbox capacity (tests use tiny capacities to
-    /// exercise the backpressure path).
-    pub fn with_mailbox_capacity(mut self, capacity: usize) -> Self {
-        assert!(capacity > 0);
-        self.mailbox_capacity = capacity;
-        self
-    }
-
-    /// Install a fault plan; its decision counters are reset at the start
-    /// of every run so each run replays the same injection stream.
-    pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.policy = self.policy.with_fault_plan(plan);
-        self
-    }
-
-    /// Set (or with `None` disable) the no-progress watchdog deadline.
-    pub fn with_watchdog(mut self, deadline: Option<Duration>) -> Self {
-        self.policy = self.policy.with_watchdog(deadline);
-        self
-    }
-
-    /// Enable (or with `None` disable) epoch-based dynamic repartitioning.
-    pub fn with_rebalance(mut self, policy: Option<RebalancePolicy>) -> Self {
-        self.rebalance = policy;
-        self
-    }
-
-    /// Take a deterministic checkpoint into `dir` every `every_events`
-    /// processed events (per shard, at the next epoch barrier). Mutually
-    /// exclusive with rebalancing: checkpoints reuse the epoch-barrier
-    /// protocol with a never-move policy, and the snapshot format
-    /// assumes the static partition.
-    pub fn with_checkpoints(mut self, every_events: u64, dir: impl Into<PathBuf>) -> Self {
-        assert!(every_events >= 1);
-        self.checkpoint = Some(CheckpointConfig {
-            every_events,
-            dir: dir.into(),
-        });
-        self
-    }
-
-    /// Resume from the newest consistent checkpoint in the configured
-    /// checkpoint directory (falls back to a fresh run when none exists).
-    pub fn with_restore(mut self, restore: bool) -> Self {
-        self.restore = restore;
-        self
-    }
-
-    /// Pin each shard thread to a core per `policy` (its event arena and
-    /// port queues are then allocated from that core — first-touch
-    /// locality). [`PinPolicy::None`] leaves threads floating.
-    pub fn with_pinning(mut self, policy: PinPolicy) -> Self {
-        self.pinning = policy;
-        self
-    }
-
-    /// Pre-size each shard's event arena to `capacity` slots (0 = grow
-    /// on demand).
-    pub fn with_arena(mut self, capacity: usize) -> Self {
-        self.arena_capacity = capacity;
-        self
+        ShardedEngine {
+            num_shards: cfg.shards(),
+            strategy: cfg.strategy(),
+            mailbox_capacity: cfg.mailbox_capacity(),
+            policy: cfg.run_policy(),
+            rebalance: cfg.rebalance(),
+            checkpoint: cfg.checkpoint(),
+            restore: cfg.restore(),
+            pinning: cfg.pinning().clone(),
+            arena_capacity: cfg.arena_capacity(),
+            rank: cfg.rank(),
+        }
     }
 
     /// The engine's fault plan (for asserting on injection counts).
@@ -2067,12 +1990,20 @@ mod tests {
         PartitionStrategy::GreedyCut,
     ];
 
+    fn cfg_k(k: usize) -> EngineConfig {
+        EngineConfig::default().with_shards(k)
+    }
+
     fn sharded(k: usize, strategy: PartitionStrategy) -> ShardedEngine {
-        ShardedEngine::from_config(&EngineConfig::default().with_shards(k).with_strategy(strategy))
+        ShardedEngine::from_config(&cfg_k(k).with_strategy(strategy))
     }
 
     fn sharded_k(k: usize) -> ShardedEngine {
         sharded(k, PartitionStrategy::default())
+    }
+
+    fn pinned(k: usize, policy: PinPolicy) -> ShardedEngine {
+        ShardedEngine::from_config(&cfg_k(k).with_pinning(policy))
     }
 
     fn check_against_seq(circuit: &Circuit, stimulus: &Stimulus) {
@@ -2147,7 +2078,7 @@ mod tests {
         let mut reference: Option<SimOutput> = None;
         for k in [1, 2, 4, 8] {
             for policy in &policies {
-                let out = sharded_k(k).with_pinning(policy.clone()).run(&c, &s, &delays);
+                let out = pinned(k, policy.clone()).run(&c, &s, &delays);
                 check_equivalent(&oracle, &out)
                     .unwrap_or_else(|e| panic!("k={k} pin={}: {e}", policy.label()));
                 // Bit-identical across every (k, pin) combination: the
@@ -2184,7 +2115,7 @@ mod tests {
         let delays = DelayModel::standard();
         let seq = SeqWorksetEngine::new().run(&c, &s, &delays);
         for policy in [PinPolicy::Compact, PinPolicy::Spread] {
-            let out = sharded_k(shards).with_pinning(policy).run(&c, &s, &delays);
+            let out = pinned(shards, policy).run(&c, &s, &delays);
             check_equivalent(&seq, &out).expect("equivalent with oversubscribed pinning");
         }
     }
@@ -2193,8 +2124,7 @@ mod tests {
     fn offline_core_in_explicit_pin_list_is_a_config_error() {
         let c = c17();
         let s = Stimulus::random_vectors(&c, 2, 3, 1);
-        let err = sharded_k(2)
-            .with_pinning(PinPolicy::Explicit(vec![0, 100_000]))
+        let err = pinned(2, PinPolicy::Explicit(vec![0, 100_000]))
             .try_run(&c, &s, &DelayModel::standard())
             .expect_err("offline core must be rejected");
         match err {
@@ -2209,11 +2139,11 @@ mod tests {
     fn name_tags_pin_policy_only_when_set() {
         assert_eq!(sharded_k(2).name(), "sharded[k=2,greedy-cut]");
         assert_eq!(
-            sharded_k(2).with_pinning(PinPolicy::Compact).name(),
+            pinned(2, PinPolicy::Compact).name(),
             "sharded[k=2,greedy-cut,pin=compact]"
         );
         assert_eq!(
-            sharded_k(4).with_pinning(PinPolicy::Explicit(vec![0, 1])).name(),
+            pinned(4, PinPolicy::Explicit(vec![0, 1])).name(),
             "sharded[k=4,greedy-cut,pin=0,1]"
         );
     }
@@ -2235,17 +2165,12 @@ mod tests {
         let s = Stimulus::random_vectors(&c, 12, 10, 37);
         let delays = DelayModel::standard();
         let reference = SeqWorksetEngine::new().run(&c, &s, &delays);
-        sharded_k(4)
-            .with_pinning(PinPolicy::Compact)
-            .with_checkpoints(40, &dir)
-            .with_fault_plan(FaultPlan::seeded(7).kill_rank_at_epoch(0, 2))
+        let cfg = cfg_k(4).with_pinning(PinPolicy::Compact).with_checkpoints(40, &dir);
+        let killed = cfg.clone().with_fault_plan(FaultPlan::seeded(7).kill_rank_at_epoch(0, 2));
+        ShardedEngine::from_config(&killed)
             .try_run(&c, &s, &delays)
             .expect_err("the injected kill must fail the first life");
-        let resumed = sharded_k(4)
-            .with_pinning(PinPolicy::Compact)
-            .with_checkpoints(40, &dir)
-            .with_restore(true)
-            .run(&c, &s, &delays);
+        let resumed = ShardedEngine::from_config(&cfg.with_restore(true)).run(&c, &s, &delays);
         check_equivalent(&reference, &resumed).expect("restored observables diverge");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -2258,7 +2183,7 @@ mod tests {
         let s = Stimulus::random_vectors(&c, 8, 2, 5);
         let delays = DelayModel::standard();
         let seq = SeqWorksetEngine::new().run(&c, &s, &delays);
-        let engine = sharded_k(4).with_mailbox_capacity(1);
+        let engine = ShardedEngine::from_config(&cfg_k(4).with_mailbox_capacity(1));
         let out = engine.run(&c, &s, &delays);
         check_equivalent(&seq, &out).expect("equivalent under backpressure");
     }
@@ -2367,12 +2292,12 @@ mod tests {
         }
     }
 
+    fn rebalancing_cfg(k: usize) -> EngineConfig {
+        cfg_k(k).with_rebalance(Some(eager_rebalance()))
+    }
+
     fn rebalancing(k: usize) -> ShardedEngine {
-        ShardedEngine::from_config(
-            &EngineConfig::default()
-                .with_shards(k)
-                .with_rebalance(Some(eager_rebalance())),
-        )
+        ShardedEngine::from_config(&rebalancing_cfg(k))
     }
 
     /// Stimulus that drives a few inputs hard and leaves the rest almost
@@ -2457,7 +2382,7 @@ mod tests {
         let s = skewed(&c);
         let delays = DelayModel::standard();
         let seq = SeqWorksetEngine::new().run(&c, &s, &delays);
-        let engine = rebalancing(4).with_mailbox_capacity(1);
+        let engine = ShardedEngine::from_config(&rebalancing_cfg(4).with_mailbox_capacity(1));
         let out = engine.run(&c, &s, &delays);
         check_equivalent(&seq, &out).expect("equivalent under backpressure");
     }

@@ -6,7 +6,7 @@ use std::time::Duration;
 /// Per-worker diagnostic state captured when a stall is detected.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct WorkerSnapshot {
-    /// Worker index (or logical-process id for the pdes kernel).
+    /// Worker index.
     pub id: usize,
     /// Free-form state description, e.g. `"parked"` or `"retrying node 12"`.
     pub state: String,
@@ -182,7 +182,7 @@ impl fmt::Display for LinkDirection {
     }
 }
 
-/// Structured error returned by `Engine::try_run` and the pdes kernels.
+/// Structured error returned by `Engine::try_run` and `model::try_run`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimError {
     /// A simulation task panicked. The engine caught the panic at the task

@@ -2,7 +2,8 @@
 //! handler context.
 
 use des::{Timestamp, NULL_TS};
-use pdes::rng::DetRng;
+
+use crate::rng::DetRng;
 
 /// An opaque event payload exchanged between components.
 ///

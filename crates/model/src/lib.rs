@@ -86,6 +86,7 @@ pub mod engine;
 pub mod graph;
 pub mod phold;
 pub mod queueing;
+mod rng;
 pub(crate) mod runtime;
 
 pub use component::{Component, Ctx, EventSource, Payload};
@@ -93,6 +94,4 @@ pub use engine::{
     run, try_run, ModelOutput, ModelStats, SeqModelEngine, ShardedModelEngine, MODEL_ENGINE_NAMES,
 };
 pub use graph::ModelGraph;
-/// Deterministic per-component random stream (SplitMix64), re-exported
-/// from the PDES kernel so models and kernel LPs share one generator.
-pub use pdes::rng::DetRng;
+pub use rng::DetRng;

@@ -72,6 +72,31 @@ mod tests {
     }
 
     #[test]
+    fn stream_is_pinned() {
+        // `benchmark/src/inputs.rs` and every PHOLD / M/M/c checksum
+        // depend on this exact stream; the literals were read off the
+        // generator before it moved into this crate.
+        let mut rng = DetRng::new(7);
+        let head: Vec<u64> = (0..8).map(|_| rng.next_u64()).collect();
+        assert_eq!(
+            head,
+            [
+                0xFC21_F96C_0210_F277,
+                0x23BB_6564_8644_C121,
+                0x8440_A1E0_387B_40E7,
+                0x8BC8_9F96_F70E_1DBD,
+                0x260F_ED6A_32B7_8CA4,
+                0xEBA0_9BDE_B8C1_EC8E,
+                0x6C07_295B_4954_8784,
+                0x33CD_EC21_B72C_D980,
+            ]
+        );
+        assert_eq!(rng.exp_ticks(12.0), 5);
+        assert_eq!(rng.range(0, 3), 1);
+        assert!(rng.chance(0.5));
+    }
+
+    #[test]
     fn uniform_in_unit_interval() {
         let mut rng = DetRng::new(1);
         for _ in 0..1000 {

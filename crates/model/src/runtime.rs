@@ -35,10 +35,10 @@ use std::collections::BinaryHeap;
 
 use des::node::{local_clock, PortQueue};
 use des::{Event, EventArena, EventRef, Timestamp, NULL_TS};
-use pdes::rng::DetRng;
 
 use crate::component::{Component, Ctx, EventSource, Payload};
 use crate::graph::Link;
+use crate::rng::DetRng;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;

@@ -10,9 +10,6 @@
 //!   contribution): sequential workset, global-heap, HJ parallel, actor,
 //!   plus validation observables.
 //! * [`galois`] — the Galois-style optimistic baseline runtime and engine.
-//! * [`pdes`] — the generic conservative PDES kernel (full null-message
-//!   protocol, cyclic topologies) with a queueing-network model — the
-//!   paper's §6 future-work direction.
 //!
 //! See `README.md` for a quickstart, `DESIGN.md` for the system inventory,
 //! and `EXPERIMENTS.md` for paper-vs-measured results.
@@ -21,4 +18,3 @@ pub use circuit;
 pub use des;
 pub use galois;
 pub use hj;
-pub use pdes;

@@ -158,8 +158,11 @@ fn sharded_engine_panic_surfaces_and_engine_survives() {
     let (c, s) = bench_circuit();
     let delays = DelayModel::standard();
 
-    let faulty =
-        ShardedEngine::from_config(&EngineConfig::default().with_shards(4)).with_fault_plan(FaultPlan::seeded(7).panic_on_spawn(3));
+    let faulty = ShardedEngine::from_config(
+        &EngineConfig::default()
+            .with_shards(4)
+            .with_fault_plan(FaultPlan::seeded(7).panic_on_spawn(3)),
+    );
     assert_task_panicked(faulty.try_run(&c, &s, &delays), "sharded");
     assert_eq!(faulty.fault_plan().injected().panics, 1);
 
@@ -179,8 +182,11 @@ fn sharded_engine_shard_panic_is_contained() {
     let (c, s) = bench_circuit();
     let delays = DelayModel::standard();
     for target_shard in [0, 1, 3] {
-        let faulty = ShardedEngine::from_config(&EngineConfig::default().with_shards(4))
-            .with_fault_plan(FaultPlan::seeded(7).panic_in_shard(target_shard));
+        let faulty = ShardedEngine::from_config(
+            &EngineConfig::default()
+                .with_shards(4)
+                .with_fault_plan(FaultPlan::seeded(7).panic_in_shard(target_shard)),
+        );
         assert_task_panicked(
             faulty.try_run(&c, &s, &delays),
             &format!("sharded (shard {target_shard} killed)"),
@@ -194,8 +200,11 @@ fn sharded_engine_straggler_delays_do_not_change_observables() {
 
     let (c, s) = bench_circuit();
     let delays = DelayModel::standard();
-    let engine = ShardedEngine::from_config(&EngineConfig::default().with_shards(4))
-        .with_fault_plan(FaultPlan::seeded(5).straggler(0.2, Duration::from_millis(1)));
+    let engine = ShardedEngine::from_config(
+        &EngineConfig::default()
+            .with_shards(4)
+            .with_fault_plan(FaultPlan::seeded(5).straggler(0.2, Duration::from_millis(1))),
+    );
     let out = engine.try_run(&c, &s, &delays).expect("stragglers are benign");
     let seq = SeqWorksetEngine::new().run(&c, &s, &delays);
     check_equivalent(&seq, &out).unwrap();
@@ -284,9 +293,12 @@ fn sharded_engine_wedge_trips_watchdog() {
     use des::engine::sharded::ShardedEngine;
 
     let (c, s) = bench_circuit();
-    let engine = ShardedEngine::from_config(&EngineConfig::default().with_shards(4))
-        .with_fault_plan(FaultPlan::seeded(1).wedged())
-        .with_watchdog(Some(WEDGE_DEADLINE));
+    let engine = ShardedEngine::from_config(
+        &EngineConfig::default()
+            .with_shards(4)
+            .with_fault_plan(FaultPlan::seeded(1).wedged())
+            .with_watchdog(Some(WEDGE_DEADLINE)),
+    );
     let start = Instant::now();
     let result = engine.try_run(&c, &s, &DelayModel::standard());
     if let Err(SimError::NoProgress { snapshot }) = &result {
@@ -348,175 +360,4 @@ fn galois_engine_wedge_trips_watchdog() {
     let start = Instant::now();
     let result = engine.try_run(&c, &s, &DelayModel::standard());
     assert_no_progress(result, start.elapsed(), "galois");
-}
-
-// ---------------------------------------------------------------------
-// The pdes parallel kernel: same contract, driver-level API.
-// ---------------------------------------------------------------------
-
-mod pdes_kernel {
-    use super::*;
-    use pdes::{Ctx, Lp, ParKernel, SeqKernel, Topology, TopologyBuilder};
-    use std::any::Any;
-
-    struct Ticker {
-        period: u64,
-        count: u64,
-    }
-
-    impl Lp<u64> for Ticker {
-        fn init(&mut self, ctx: &mut Ctx<u64>) {
-            if self.count > 0 {
-                ctx.schedule(self.period, 0);
-            }
-        }
-        fn handle(&mut self, n: u64, ctx: &mut Ctx<u64>) {
-            ctx.send(0, 1, n);
-            if n + 1 < self.count {
-                ctx.schedule(self.period, n + 1);
-            }
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-    }
-
-    struct Counter {
-        seen: Vec<(u64, u64)>,
-    }
-
-    impl Lp<u64> for Counter {
-        fn handle(&mut self, n: u64, ctx: &mut Ctx<u64>) {
-            self.seen.push((ctx.now(), n));
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-    }
-
-    fn pipeline() -> (Topology, Vec<Box<dyn Lp<u64>>>) {
-        let mut b = TopologyBuilder::new();
-        let t = b.add_lp();
-        let c = b.add_lp();
-        b.connect(t, c, 1);
-        let lps: Vec<Box<dyn Lp<u64>>> = vec![
-            Box::new(Ticker { period: 3, count: 40 }),
-            Box::new(Counter { seen: Vec::new() }),
-        ];
-        (b.build(), lps)
-    }
-
-    fn lps() -> Vec<Box<dyn Lp<u64>>> {
-        vec![
-            Box::new(Ticker { period: 3, count: 40 }),
-            Box::new(Counter { seen: Vec::new() }),
-        ]
-    }
-
-    #[test]
-    fn injected_panic_surfaces_and_kernel_survives() {
-        let (topology, first) = pipeline();
-        let kernel = ParKernel::new(WORKERS)
-            .with_fault_plan(FaultPlan::seeded(3).panic_on_spawn(1));
-        match kernel.try_run(&topology, first, 1_000) {
-            Err(SimError::TaskPanicked { payload, .. }) => {
-                assert!(payload.contains("injected"), "payload: {payload}");
-            }
-            Err(other) => panic!("expected TaskPanicked, got: {other}"),
-            Ok(_) => panic!("expected the injected panic to surface"),
-        }
-
-        // Fresh kernel over the same topology still matches the
-        // sequential driver.
-        let seq = SeqKernel::new().run(&topology, lps(), 1_000);
-        let par = ParKernel::new(WORKERS)
-            .try_run(&topology, lps(), 1_000)
-            .expect("clean run after failure");
-        let seen = |o: &pdes::RunOutcome<u64>| {
-            o.lps[1].as_any().downcast_ref::<Counter>().unwrap().seen.clone()
-        };
-        assert_eq!(seen(&seq), seen(&par));
-    }
-
-    /// Ring of relays: the null-message promise protocol forces many
-    /// activations (and so many trylock decisions), unlike the two-LP
-    /// pipeline that drains in a handful of lock acquisitions.
-    struct Relay(u64);
-    impl Lp<u64> for Relay {
-        fn handle(&mut self, n: u64, ctx: &mut Ctx<u64>) {
-            self.0 += 1;
-            ctx.send(0, 4, n + 1);
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-    }
-    struct Seed;
-    impl Lp<u64> for Seed {
-        fn init(&mut self, ctx: &mut Ctx<u64>) {
-            ctx.send(0, 4, 0);
-        }
-        fn handle(&mut self, n: u64, ctx: &mut Ctx<u64>) {
-            ctx.send(0, 4, n + 1);
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-    }
-
-    fn ring() -> (Topology, impl Fn() -> Vec<Box<dyn Lp<u64>>>) {
-        let mut b = TopologyBuilder::new();
-        let s = b.add_lp();
-        let r1 = b.add_lp();
-        let r2 = b.add_lp();
-        b.connect(s, r1, 4);
-        b.connect(r1, r2, 4);
-        b.connect(r2, s, 4);
-        (b.build(), || {
-            vec![Box::new(Seed), Box::new(Relay(0)), Box::new(Relay(0))]
-        })
-    }
-
-    #[test]
-    fn completes_under_forced_trylock_failures() {
-        let (topology, mk) = ring();
-        let kernel = ParKernel::new(WORKERS)
-            .with_fault_plan(FaultPlan::seeded(17).fail_trylock(0.5));
-        let par = kernel
-            .try_run(&topology, mk(), 500)
-            .expect("bounded retry must ride out a 50% trylock failure rate");
-        assert!(par.stats.lock_retries > 0, "retries should be counted");
-        assert!(par.stats.backoff_waits > 0, "backoff waits should be counted");
-
-        let seq = SeqKernel::new().run(&topology, mk(), 500);
-        let hops = |o: &pdes::RunOutcome<u64>| {
-            (
-                o.lps[1].as_any().downcast_ref::<Relay>().unwrap().0,
-                o.lps[2].as_any().downcast_ref::<Relay>().unwrap().0,
-            )
-        };
-        assert_eq!(hops(&seq), hops(&par));
-    }
-
-    #[test]
-    fn wedge_trips_watchdog() {
-        let (topology, first) = pipeline();
-        let kernel = ParKernel::new(WORKERS)
-            .with_fault_plan(FaultPlan::seeded(1).wedged())
-            .with_watchdog(Some(WEDGE_DEADLINE));
-        let start = Instant::now();
-        let result = kernel.try_run(&topology, first, 1_000);
-        let elapsed = start.elapsed();
-        assert!(
-            elapsed < Duration::from_secs(8),
-            "wedged run took {elapsed:?}; watchdog did not fire in time"
-        );
-        match result {
-            Err(SimError::NoProgress { snapshot }) => {
-                assert!(snapshot.stalled_for >= WEDGE_DEADLINE);
-            }
-            Err(other) => panic!("expected NoProgress, got: {other}"),
-            Ok(_) => panic!("expected the wedge to trip the watchdog"),
-        }
-    }
 }
