@@ -1158,7 +1158,7 @@ fn phold_experiment(opts: &Options) {
 }
 
 /// `replicate`: the massive-replication sweep. Runs the same seeded
-/// PHOLD lookahead sweep through the `sim-replicate` work-stealing
+/// PHOLD lookahead sweep through the `sim-replicate` run
 /// executor at each worker count, asserts the cross-run aggregate
 /// digest is bit-identical everywhere (the DESIGN.md §14 determinism
 /// contract), prints the runs/sec scaling table plus a p50/p95/p99

@@ -9,10 +9,11 @@
 //! * [`spec`] — a [`spec::JobSpec`] is a seed sweep × parameter grid
 //!   over `sim-model` workloads (PHOLD, M/M/c), with a versioned total
 //!   codec and a pure `(base_seed, cell, rep) → seed` derivation.
-//! * [`executor`] — a work-stealing run pool (global injector +
-//!   per-worker deques) fanning `(cell, rep)` tasks across cores, each
-//!   run under the `EngineConfig`'s `fault::RunPolicy`, with
-//!   cross-thread `RunExec` spans for critical-path attribution.
+//! * [`executor`] — the one run pool: workers claiming `(cell, rep)`
+//!   runs off one ready list of admitted batches, fewest unclaimed
+//!   runs first, each run under the `EngineConfig`'s
+//!   `fault::RunPolicy`, with cross-thread `RunExec` spans for
+//!   critical-path attribution.
 //! * [`store`] — a hand-rolled columnar run store: per-metric column
 //!   chunks, varint+CRC32 framing, two-phase tmp+fsync+rename writes;
 //!   the reader re-validates every CRC and re-aggregates to the same
@@ -21,9 +22,10 @@
 //!   yielding p50/p95/p99 per scenario cell; merging is associative,
 //!   so any local/remote split aggregates identically.
 //! * [`proto`] / [`service`] — the `des-svc` job service: Hello-fenced
-//!   versioned frames over TCP, a FIFO job queue scheduled across the
-//!   local pool and remote worker ranks, progress exposed through the
-//!   sim-obs Prometheus endpoint.
+//!   versioned frames over TCP, every submitted job admitted to the
+//!   pool at once (small jobs pass big ones), remote worker ranks
+//!   pulling chunks from the same ordering, progress exposed through
+//!   the sim-obs Prometheus endpoint.
 //!
 //! Determinism contract (DESIGN.md §14): every metric column except
 //! wall-clock is a pure function of the run seed, so repeat runs of

@@ -64,9 +64,9 @@ pub enum Role {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum JobState {
-    /// Waiting in the FIFO queue.
+    /// Admitted; none of its runs claimed yet.
     Queued = 0,
-    /// Being executed.
+    /// At least one run claimed, not ended.
     Running = 1,
     /// Finished; results fetchable.
     Done = 2,
@@ -143,9 +143,9 @@ pub enum SvcFrame {
         completed: u64,
         /// Total runs the job will execute.
         total: u64,
-        /// Jobs waiting behind this one.
+        /// Jobs admitted with no run claimed yet.
         queued_jobs: u64,
-        /// Jobs currently executing.
+        /// Jobs with a run claimed and not yet ended.
         inflight_jobs: u64,
     },
     /// Client → server: fetch the aggregate of a finished job.

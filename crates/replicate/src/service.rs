@@ -1,14 +1,24 @@
-//! The `des-svc` replication service: a long-lived job queue over TCP.
+//! The `des-svc` replication service: a long-lived job service over TCP.
 //!
-//! One [`Service`] owns a listener, a FIFO job queue, and the local
-//! work-stealing pool. Clients connect, `Hello`-fence, and submit
-//! [`JobSpec`]s; the scheduler thread executes one job at a time,
-//! splitting its replications between the local pool and any attached
-//! remote **worker ranks** (`des-svc worker`, the replication analogue
-//! of `des-node`). Workers buffer their slice and stream rows back
-//! only on success, so a dead or failing worker costs nothing but
-//! time: its slice is simply re-run locally — the per-run seeds make
-//! the result identical wherever a replication executes.
+//! One [`Service`] owns a listener and the one run pool
+//! ([`crate::executor`]): `threads` workers over the ready list of
+//! every admitted job. Clients connect, `Hello`-fence, and submit
+//! [`JobSpec`]s; the connection's thread builds the job's sink and
+//! admits its runs, and from then on there is no job-level scheduler —
+//! each claim goes to the job with the fewest unclaimed runs, so a
+//! small job passes a big one. The worker that retires a job's last run
+//! seals its store file and publishes `Done` or `Failed`; a failed run
+//! fails its own job only.
+//!
+//! Remote **worker ranks** (`des-svc worker`, the replication analogue
+//! of `des-node`) pull from the same ordering: an idle rank is handed
+//! one bounded chunk of replications at a time. A rank buffers its
+//! chunk and sends rows back only on success, so a dead, failing or
+//! silent rank costs nothing but time: its chunk goes back on the job's
+//! unclaimed set and a local worker runs it — the per-run seeds make
+//! the result identical wherever a replication executes. Only a rank
+//! that hangs up, goes silent or breaks the protocol is dropped; one
+//! that reports a failed chunk stays attached.
 //!
 //! Progress is observable two ways: the `Progress` frame, and the
 //! sim-obs Prometheus endpoint (`sim_svc_queue_depth`,
@@ -17,11 +27,11 @@
 //! `obs::MetricsServer` from the same recorder the runs trace into.
 
 use std::collections::HashMap;
-use std::io::{BufReader, BufWriter, Write};
+use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use des::EngineConfig;
@@ -29,15 +39,16 @@ use net::wire::WireError;
 use obs::Recorder;
 
 use crate::agg::JobAggregate;
-use crate::executor::{run_slice, Progress, RunRow};
+use crate::executor::{run_slice, Batch, Chunk, Outcome, Pool, Progress, RunRow, Sink};
 use crate::proto::{
-    proto_digest, read_svc_frame, write_svc_frame, JobState, Role, SvcFrame, ROW_BATCH,
+    encode_svc_frame, proto_digest, read_svc_frame, write_svc_frame, JobState, Role, SvcFrame,
+    ROW_BATCH,
 };
 use crate::spec::JobSpec;
 use crate::store::{RunStoreWriter, StoreError};
 
-/// How long the scheduler waits for a remote slice before re-running
-/// it locally.
+/// How long a rank may stay silent under a chunk before the chunk goes
+/// back on its job's unclaimed set.
 const ASSIGN_TIMEOUT: Duration = Duration::from_secs(120);
 
 /// Service-side configuration.
@@ -119,31 +130,28 @@ pub struct ProgressInfo {
     pub completed: u64,
     /// Total runs.
     pub total: u64,
-    /// Jobs queued behind this one.
+    /// Jobs admitted with no run claimed yet.
     pub queued_jobs: u64,
-    /// Jobs executing.
+    /// Jobs with a run claimed and not yet ended.
     pub inflight_jobs: u64,
 }
 
-struct JobEntry {
-    spec: JobSpec,
+/// A job's lifecycle as clients see it.
+struct Status {
     state: JobState,
-    progress: Progress,
-    total: u64,
     result: Option<JobAggregate>,
     error: Option<String>,
 }
 
-/// Rows of the currently executing job, shared between the scheduler
-/// and worker connection threads.
-struct ActiveSink {
+/// Where a job's rows land until it ends.
+struct Rows {
     writer: Option<RunStoreWriter>,
     agg: JobAggregate,
     seen: std::collections::HashSet<(u32, u32)>,
     corrupt: Option<String>,
 }
 
-impl ActiveSink {
+impl Rows {
     fn push(&mut self, row: &RunRow) {
         if self.corrupt.is_some() {
             return;
@@ -167,51 +175,133 @@ impl ActiveSink {
     }
 }
 
-struct ActiveJob {
-    job: u64,
-    sink: Mutex<ActiveSink>,
+/// One submitted job: its own order-free sink on the pool, and what
+/// `Progress` and `Fetch` read.
+struct Job {
+    total: u64,
     progress: Progress,
-    /// `(rep_start, rep_count, ok)` results of remote assignments.
-    done_tx: mpsc::Sender<(u32, u32, bool)>,
-    /// worker id → outstanding `(rep_start, rep_count)`.
-    assignments: Mutex<HashMap<u64, (u32, u32)>>,
+    status: Mutex<Status>,
+    /// `None` once the job has ended.
+    rows: Mutex<Option<Rows>>,
+    completed_gauge: obs::Gauge,
+    meters: Arc<Meters>,
 }
 
-struct RemoteWorker {
-    id: u64,
-    threads: u32,
-    stream: TcpStream,
+impl Sink for Job {
+    fn started(&self) {
+        let mut status = self.status.lock().unwrap();
+        // A stop can end the job between a rank's first claim and this call.
+        if status.state == JobState::Queued {
+            status.state = JobState::Running;
+            self.meters.shift(Some(JobState::Queued), JobState::Running);
+        }
+    }
+
+    fn row(&self, row: RunRow) {
+        // A job that ended under a remote chunk (service stopped) has
+        // no use for the chunk's rows.
+        if let Some(rows) = self.rows.lock().unwrap().as_mut() {
+            rows.push(&row);
+            self.progress.add(1);
+            self.completed_gauge.set(self.progress.completed());
+            self.meters.runs.inc();
+        }
+    }
+
+    /// Seal the store and publish the terminal state.
+    fn done(&self, outcome: Outcome) {
+        let Some(mut rows) = self.rows.lock().unwrap().take() else { return };
+        let mut failure = match outcome {
+            Outcome::Complete => rows.corrupt.take(),
+            Outcome::Failed(e) => Some(e.to_string()),
+            Outcome::Stopped => Some("service stopped".to_string()),
+        };
+        if failure.is_none() && rows.agg.total_runs != self.total {
+            failure = Some(format!("incomplete job: {}/{} runs", rows.agg.total_runs, self.total));
+        }
+        if failure.is_none() {
+            if let Some(w) = rows.writer.take() {
+                match w.finish() {
+                    Ok(sealed) => debug_assert_eq!(sealed.digest(), rows.agg.digest()),
+                    Err(e) => failure = Some(format!("store seal failed: {e}")),
+                }
+            }
+        }
+        let mut status = self.status.lock().unwrap();
+        let from = status.state;
+        match failure {
+            None => {
+                status.state = JobState::Done;
+                status.result = Some(rows.agg);
+            }
+            Some(reason) => {
+                status.state = JobState::Failed;
+                status.error = Some(reason);
+            }
+        }
+        self.meters.shift(Some(from), status.state);
+    }
+}
+
+/// Service-wide counters and gauges. Queued = admitted with no run
+/// claimed; in flight = a run claimed and the job not ended. Both move
+/// only when a job changes state.
+struct Meters {
+    recorder: Recorder,
+    /// `[queued, in flight, ranks attached]`; their gauges are set
+    /// under this lock so they cannot fall behind it.
+    load: Mutex<[u64; 3]>,
+    runs: obs::Counter,
+}
+
+impl Meters {
+    fn update(&self, change: impl FnOnce(&mut [u64; 3])) {
+        const GAUGES: [&str; 3] =
+            ["sim_svc_queue_depth", "sim_svc_jobs_inflight", "sim_svc_workers_connected"];
+        let mut load = self.load.lock().unwrap();
+        change(&mut load);
+        for (name, value) in GAUGES.iter().zip(*load) {
+            self.recorder.gauge(name, &[]).set(value);
+        }
+    }
+
+    /// A job moved `from` one state (`None`: just submitted) `to` another.
+    fn shift(&self, from: Option<JobState>, to: JobState) {
+        let slot = |state| match state {
+            JobState::Queued => Some(0),
+            JobState::Running => Some(1),
+            JobState::Done | JobState::Failed => None,
+        };
+        self.update(|load| {
+            if let Some(i) = from.and_then(slot) {
+                load[i] -= 1;
+            }
+            if let Some(i) = slot(to) {
+                load[i] += 1;
+            }
+        });
+        let counter = match to {
+            JobState::Queued => "sim_svc_jobs_submitted_total",
+            JobState::Done => "sim_svc_jobs_completed_total",
+            JobState::Failed => "sim_svc_jobs_failed_total",
+            JobState::Running => return,
+        };
+        self.recorder.counter(counter, &[]).inc();
+    }
 }
 
 struct Shared {
     epoch: u64,
-    stop: AtomicBool,
     next_job: AtomicU64,
-    next_worker: AtomicU64,
-    jobs: Mutex<HashMap<u64, JobEntry>>,
-    queue: Mutex<std::collections::VecDeque<u64>>,
-    queue_cv: Condvar,
-    workers: Mutex<Vec<RemoteWorker>>,
-    active: Mutex<Option<Arc<ActiveJob>>>,
-    recorder: Recorder,
+    jobs: Mutex<HashMap<u64, Arc<Job>>>,
+    pool: Pool,
+    meters: Arc<Meters>,
     config: SvcConfig,
 }
 
 impl Shared {
-    fn queue_depth(&self) -> u64 {
-        self.queue.lock().unwrap().len() as u64
-    }
-
-    fn inflight(&self) -> u64 {
-        u64::from(self.active.lock().unwrap().is_some())
-    }
-
-    fn refresh_gauges(&self) {
-        self.recorder.gauge("sim_svc_queue_depth", &[]).set(self.queue_depth());
-        self.recorder.gauge("sim_svc_jobs_inflight", &[]).set(self.inflight());
-        self.recorder
-            .gauge("sim_svc_workers_connected", &[])
-            .set(self.workers.lock().unwrap().len() as u64);
+    fn job(&self, job: u64) -> Option<Arc<Job>> {
+        self.jobs.lock().unwrap().get(&job).cloned()
     }
 }
 
@@ -219,11 +309,12 @@ impl Shared {
 pub struct Service {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    threads: Vec<std::thread::JoinHandle<()>>,
+    accept: std::thread::JoinHandle<()>,
 }
 
 impl Service {
-    /// Bind, spawn the accept loop and the scheduler, return.
+    /// Bind, start the pool's `threads` workers and the accept loop,
+    /// return.
     pub fn start(config: SvcConfig) -> std::io::Result<Service> {
         let listener = TcpListener::bind(&config.listen)?;
         let addr = listener.local_addr()?;
@@ -231,35 +322,27 @@ impl Service {
             .duration_since(std::time::UNIX_EPOCH)
             .map(|d| d.as_millis() as u64)
             .unwrap_or(0);
+        let recorder = config.cfg.recorder();
+        let meters = Meters {
+            runs: recorder.counter("sim_svc_runs_total", &[]),
+            recorder,
+            load: Mutex::new([0; 3]),
+        };
+        meters.update(|_| {});
         let shared = Arc::new(Shared {
             epoch,
-            stop: AtomicBool::new(false),
             next_job: AtomicU64::new(1),
-            next_worker: AtomicU64::new(1),
             jobs: Mutex::new(HashMap::new()),
-            queue: Mutex::new(std::collections::VecDeque::new()),
-            queue_cv: Condvar::new(),
-            workers: Mutex::new(Vec::new()),
-            active: Mutex::new(None),
-            recorder: config.cfg.recorder(),
+            pool: Pool::start(config.threads.max(1), &config.cfg),
+            meters: Arc::new(meters),
             config,
         });
-        shared.refresh_gauges();
-
-        let mut threads = Vec::new();
-        {
+        let accept = std::thread::Builder::new().name("svc-accept".into()).spawn({
             let shared = Arc::clone(&shared);
-            threads.push(std::thread::Builder::new().name("svc-accept".into()).spawn(
-                move || accept_loop(listener, &shared),
-            )?);
-        }
-        {
-            let shared = Arc::clone(&shared);
-            threads.push(std::thread::Builder::new().name("svc-sched".into()).spawn(
-                move || scheduler_loop(&shared),
-            )?);
-        }
-        Ok(Service { addr, shared, threads })
+            move || accept_loop(listener, &shared)
+        });
+        let accept = accept.inspect_err(|_| shared.pool.shutdown())?;
+        Ok(Service { addr, shared, accept })
     }
 
     /// The bound listen address.
@@ -270,48 +353,31 @@ impl Service {
     /// The recorder runs and service metrics publish into (hand it to
     /// `obs::MetricsServer::serve` for a live endpoint).
     pub fn recorder(&self) -> Recorder {
-        self.shared.recorder.clone()
+        self.shared.meters.recorder.clone()
     }
 
     /// Block until some client sends `Shutdown`, then tear down. This
     /// is the `des-svc serve` main loop.
     pub fn join_until_stopped(self) {
-        {
-            let mut queue = self.shared.queue.lock().unwrap();
-            while !self.shared.stop.load(Ordering::SeqCst) {
-                queue = self
-                    .shared
-                    .queue_cv
-                    .wait_timeout(queue, Duration::from_millis(200))
-                    .unwrap()
-                    .0;
-            }
-        }
+        self.shared.pool.wait_stop();
         self.stop();
     }
 
-    /// Stop accepting, finish the in-flight job, join every thread.
-    pub fn stop(mut self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
-        self.shared.queue_cv.notify_all();
+    /// Stop accepting, let each worker finish the run it holds, fail
+    /// every job that is not done by then (`service stopped`), join
+    /// every thread.
+    pub fn stop(self) {
+        self.shared.pool.shutdown();
         // Unblock the accept loop.
         let _ = TcpStream::connect(self.addr);
-        // Tell attached workers to exit.
-        for w in self.shared.workers.lock().unwrap().iter() {
-            let mut stream = &w.stream;
-            let _ = stream.write_all(&crate::proto::encode_svc_frame(&SvcFrame::Shutdown));
-            let _ = w.stream.shutdown(std::net::Shutdown::Both);
-        }
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
+        let _ = self.accept.join();
     }
 }
 
 fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
     loop {
         let conn = listener.accept();
-        if shared.stop.load(Ordering::SeqCst) {
+        if shared.pool.stopped() {
             return;
         }
         let Ok((stream, _)) = conn else { continue };
@@ -353,74 +419,86 @@ fn handle_conn(stream: TcpStream, shared: &Arc<Shared>) {
     }
 }
 
+/// Build the job's sink and put its runs on the pool's ready list, on
+/// the connection's own thread.
+fn admit(shared: &Shared, spec: JobSpec) -> u64 {
+    let id = shared.next_job.fetch_add(1, Ordering::SeqCst);
+    let label = id.to_string();
+    let labels: &[(&str, &str)] = &[("job", &label)];
+    let total = spec.total_runs();
+    shared.meters.recorder.gauge("sim_svc_job_total_runs", labels).set(total);
+    let writer = shared
+        .config
+        .store_dir
+        .as_ref()
+        .and_then(|dir| RunStoreWriter::create(dir.join(format!("job-{id}.cols")), &spec).ok());
+    let job = Arc::new(Job {
+        total,
+        progress: Progress::default(),
+        status: Mutex::new(Status { state: JobState::Queued, result: None, error: None }),
+        rows: Mutex::new(Some(Rows {
+            writer,
+            agg: JobAggregate::for_spec(&spec),
+            seen: std::collections::HashSet::new(),
+            corrupt: None,
+        })),
+        completed_gauge: shared.meters.recorder.gauge("sim_svc_job_completed_runs", labels),
+        meters: Arc::clone(&shared.meters),
+    });
+    shared.jobs.lock().unwrap().insert(id, Arc::clone(&job));
+    shared.meters.shift(None, JobState::Queued);
+    let reps = 0..spec.replications;
+    shared.pool.admit(Arc::new(Batch { id, spec, sink: job }), reps);
+    id
+}
+
 fn client_loop(mut reader: BufReader<TcpStream>, mut writer: TcpStream, shared: &Arc<Shared>) {
     while let Ok(Some(frame)) = read_svc_frame(&mut reader) {
         match frame {
             SvcFrame::Submit { spec } => {
-                if shared.stop.load(Ordering::SeqCst) {
+                if shared.pool.stopped() {
                     reject(&mut writer, "service is shutting down");
                     continue;
                 }
-                let job = shared.next_job.fetch_add(1, Ordering::SeqCst);
-                let total = spec.total_runs();
-                shared.jobs.lock().unwrap().insert(
-                    job,
-                    JobEntry {
-                        spec,
-                        state: JobState::Queued,
-                        progress: Progress::default(),
-                        total,
-                        result: None,
-                        error: None,
-                    },
-                );
-                shared.queue.lock().unwrap().push_back(job);
-                // notify_all: the scheduler is not the only waiter —
-                // `join_until_stopped` parks on this condvar too.
-                shared.queue_cv.notify_all();
-                shared.recorder.counter("sim_svc_jobs_submitted_total", &[]).inc();
-                shared.refresh_gauges();
+                let job = admit(shared, spec);
                 let _ = write_svc_frame(&mut writer, &SvcFrame::Submitted { job });
             }
-            SvcFrame::Progress { job } => {
-                let jobs = shared.jobs.lock().unwrap();
-                match jobs.get(&job) {
-                    None => reject(&mut writer, &format!("job {job} unknown")),
-                    Some(entry) => {
-                        let report = SvcFrame::ProgressReport {
-                            job,
-                            state: entry.state,
-                            completed: entry.progress.completed(),
-                            total: entry.total,
-                            queued_jobs: shared.queue_depth(),
-                            inflight_jobs: shared.inflight(),
-                        };
-                        drop(jobs);
-                        let _ = write_svc_frame(&mut writer, &report);
-                    }
+            SvcFrame::Progress { job } => match shared.job(job) {
+                None => reject(&mut writer, &format!("job {job} unknown")),
+                Some(entry) => {
+                    let state = entry.status.lock().unwrap().state;
+                    let [queued_jobs, inflight_jobs, _] = *shared.meters.load.lock().unwrap();
+                    let report = SvcFrame::ProgressReport {
+                        job,
+                        state,
+                        completed: entry.progress.completed(),
+                        total: entry.total,
+                        queued_jobs,
+                        inflight_jobs,
+                    };
+                    let _ = write_svc_frame(&mut writer, &report);
                 }
-            }
+            },
             SvcFrame::Fetch { job } => {
-                let jobs = shared.jobs.lock().unwrap();
-                match jobs.get(&job) {
-                    None => reject(&mut writer, &format!("job {job} unknown")),
-                    Some(JobEntry { state: JobState::Failed, error, .. }) => {
-                        let reason =
-                            format!("job {job} failed: {}", error.as_deref().unwrap_or("?"));
-                        drop(jobs);
-                        reject(&mut writer, &reason);
-                    }
-                    Some(JobEntry { result: Some(agg), .. }) => {
-                        let frame = SvcFrame::Results { job, agg: agg.clone() };
-                        drop(jobs);
-                        let _ = write_svc_frame(&mut writer, &frame);
-                    }
-                    Some(_) => reject(&mut writer, &format!("job {job} not done yet")),
+                let reply = match shared.job(job) {
+                    None => Err(format!("job {job} unknown")),
+                    Some(entry) => match &*entry.status.lock().unwrap() {
+                        Status { state: JobState::Failed, error, .. } => {
+                            Err(format!("job {job} failed: {}", error.as_deref().unwrap_or("?")))
+                        }
+                        Status { result: Some(agg), .. } => {
+                            Ok(SvcFrame::Results { job, agg: agg.clone() })
+                        }
+                        _ => Err(format!("job {job} not done yet")),
+                    },
+                };
+                match reply {
+                    Ok(frame) => drop(write_svc_frame(&mut writer, &frame)),
+                    Err(reason) => reject(&mut writer, &reason),
                 }
             }
             SvcFrame::Shutdown => {
-                shared.stop.store(true, Ordering::SeqCst);
-                shared.queue_cv.notify_all();
+                shared.pool.request_stop();
                 return;
             }
             _ => {
@@ -431,240 +509,85 @@ fn client_loop(mut reader: BufReader<TcpStream>, mut writer: TcpStream, shared: 
     }
 }
 
+/// Serve one attached rank: whenever it is idle — on attach, and after
+/// each `AssignDone` — claim it a chunk off the pool's one ordering.
 fn worker_loop(
     mut reader: BufReader<TcpStream>,
-    writer: TcpStream,
+    mut writer: TcpStream,
     threads: u32,
     shared: &Arc<Shared>,
 ) {
-    let id = shared.next_worker.fetch_add(1, Ordering::SeqCst);
-    shared
-        .workers
-        .lock()
-        .unwrap()
-        .push(RemoteWorker { id, threads: threads.max(1), stream: writer });
-    shared.refresh_gauges();
-
-    loop {
-        match read_svc_frame(&mut reader) {
-            Ok(Some(SvcFrame::RowBatch { job, rows })) => {
-                let active = shared.active.lock().unwrap().clone();
-                if let Some(active) = active.filter(|a| a.job == job) {
-                    let mut sink = active.sink.lock().unwrap();
-                    for row in &rows {
-                        sink.push(row);
-                    }
-                    drop(sink);
-                    active.progress.add(rows.len() as u64);
-                    shared.recorder.counter("sim_svc_runs_total", &[]).add(rows.len() as u64);
-                }
-            }
-            Ok(Some(SvcFrame::AssignDone { job, rep_start, rep_count, ok })) => {
-                let active = shared.active.lock().unwrap().clone();
-                if let Some(active) = active.filter(|a| a.job == job) {
-                    active.assignments.lock().unwrap().remove(&id);
-                    let _ = active.done_tx.send((rep_start, rep_count, ok));
-                }
-            }
-            Ok(Some(_)) | Ok(None) | Err(_) => break,
+    shared.meters.update(|load| load[2] += 1);
+    let remote_runs = shared.meters.recorder.counter("sim_svc_remote_runs_total", &[]);
+    // One small round trip per chunk: never wait to coalesce.
+    let _ = writer.set_nodelay(true);
+    // This thread reads only while a chunk is out, so the timeout is
+    // the longest a rank may stay silent under one.
+    let _ = writer.set_read_timeout(Some(ASSIGN_TIMEOUT));
+    while let Some(chunk) = shared.pool.claim_chunk(threads) {
+        let served = serve_chunk(&mut reader, &mut writer, &chunk);
+        let lost = matches!(served, Served::Lost);
+        if lost {
+            // Hang up before the chunk goes back, so that rows this
+            // rank sends late cannot arrive twice.
+            let _ = writer.shutdown(std::net::Shutdown::Both);
         }
-    }
-
-    // Deregister; fail any outstanding assignment so the scheduler
-    // re-runs the slice locally instead of waiting for the timeout.
-    shared.workers.lock().unwrap().retain(|w| w.id != id);
-    shared.refresh_gauges();
-    let active = shared.active.lock().unwrap().clone();
-    if let Some(active) = active {
-        if let Some((start, count)) = active.assignments.lock().unwrap().remove(&id) {
-            let _ = active.done_tx.send((start, count, false));
-        }
-    }
-}
-
-fn scheduler_loop(shared: &Arc<Shared>) {
-    loop {
-        let job = {
-            let mut queue = shared.queue.lock().unwrap();
-            loop {
-                if shared.stop.load(Ordering::SeqCst) {
-                    return;
-                }
-                if let Some(job) = queue.pop_front() {
-                    break job;
-                }
-                // Timed wait: a missed wakeup must degrade to a 200ms
-                // stutter, never a wedged queue.
-                queue = shared
-                    .queue_cv
-                    .wait_timeout(queue, Duration::from_millis(200))
-                    .unwrap()
-                    .0;
+        let ok = match served {
+            Served::Rows(rows) => {
+                remote_runs.add(rows.len() as u64);
+                rows.into_iter().for_each(|row| chunk.batch.sink.row(row));
+                true
             }
+            Served::Refused | Served::Lost => false,
         };
-        run_job(shared, job);
-        shared.refresh_gauges();
+        shared.pool.chunk_done(chunk, ok);
+        if lost {
+            break;
+        }
     }
+    // The pool stopped, or the rank is lost: release it.
+    let _ = write_svc_frame(&mut writer, &SvcFrame::Shutdown);
+    shared.meters.update(|load| load[2] -= 1);
 }
 
-fn run_job(shared: &Arc<Shared>, job: u64) {
-    let (spec, progress) = {
-        let mut jobs = shared.jobs.lock().unwrap();
-        let Some(entry) = jobs.get_mut(&job) else { return };
-        entry.state = JobState::Running;
-        (entry.spec.clone(), entry.progress.clone())
-    };
-    shared.refresh_gauges();
-    let job_label = job.to_string();
-    let labels: &[(&str, &str)] = &[("job", &job_label)];
-    shared.recorder.gauge("sim_svc_job_total_runs", labels).set(spec.total_runs());
-    let progress_gauge = shared.recorder.gauge("sim_svc_job_completed_runs", labels);
-    let runs_counter = shared.recorder.counter("sim_svc_runs_total", &[]);
+/// How one `Assign` went.
+enum Served {
+    /// The rank ran the whole chunk: its rows, which count from now.
+    Rows(Vec<RunRow>),
+    /// A well-formed `AssignDone { ok: false }`: the rank sent no rows
+    /// and stays attached; the chunk fails where a local worker runs it.
+    Refused,
+    /// The rank hung up, stayed silent or broke the protocol.
+    Lost,
+}
 
-    // Plan the split: local pool + one slice per connected worker,
-    // sized by thread counts.
-    let local_threads = shared.config.threads.max(1);
-    let reps = spec.replications;
-    let assignments: Vec<(u64, u32, u32)> = {
-        let workers = shared.workers.lock().unwrap();
-        let total_threads: u32 =
-            local_threads as u32 + workers.iter().map(|w| w.threads).sum::<u32>();
-        let mut next = reps; // remote slices come off the top
-        let mut out = Vec::new();
-        for w in workers.iter() {
-            let share = (reps as u64 * w.threads as u64 / total_threads as u64) as u32;
-            let share = share.min(next);
-            if share == 0 {
-                continue;
-            }
-            next -= share;
-            out.push((w.id, next, share));
-        }
-        out
-    };
-    let local_reps = reps - assignments.iter().map(|&(_, _, n)| n).sum::<u32>();
-
-    let (done_tx, done_rx) = mpsc::channel();
-    let writer = shared.config.store_dir.as_ref().and_then(|dir| {
-        RunStoreWriter::create(dir.join(format!("job-{job}.cols")), &spec).ok()
-    });
-    let active = Arc::new(ActiveJob {
-        job,
-        sink: Mutex::new(ActiveSink {
-            writer,
-            agg: JobAggregate::for_spec(&spec),
-            seen: std::collections::HashSet::new(),
-            corrupt: None,
-        }),
-        progress: progress.clone(),
-        done_tx,
-        assignments: Mutex::new(HashMap::new()),
-    });
-    *shared.active.lock().unwrap() = Some(Arc::clone(&active));
-    shared.refresh_gauges();
-
-    // Dispatch remote slices.
-    let mut outstanding = 0usize;
-    for &(worker_id, rep_start, rep_count) in &assignments {
-        let workers = shared.workers.lock().unwrap();
-        let sent = workers.iter().find(|w| w.id == worker_id).is_some_and(|w| {
-            let mut stream = &w.stream;
-            stream
-                .write_all(&crate::proto::encode_svc_frame(&SvcFrame::Assign {
-                    job,
-                    rep_start,
-                    rep_count,
-                    spec: spec.clone(),
-                }))
-                .is_ok()
-        });
-        drop(workers);
-        if sent {
-            active.assignments.lock().unwrap().insert(worker_id, (rep_start, rep_count));
-            outstanding += 1;
-        } else {
-            // Worker vanished before dispatch: run its slice locally.
-            let _ = active.done_tx.send((rep_start, rep_count, false));
-            outstanding += 1;
-        }
+/// Send one `Assign` and collect its rows.
+fn serve_chunk(
+    reader: &mut BufReader<TcpStream>,
+    writer: &mut TcpStream,
+    chunk: &Chunk,
+) -> Served {
+    let job = chunk.batch.id;
+    let (rep_start, rep_count) = (chunk.reps.start, chunk.reps.end - chunk.reps.start);
+    let assign = SvcFrame::Assign { job, rep_start, rep_count, spec: chunk.batch.spec.clone() };
+    if writer.write_all(&encode_svc_frame(&assign)).is_err() {
+        return Served::Lost;
     }
-
-    // Execute the local slice on this thread.
-    let run_local = |range: std::ops::Range<u32>| -> Result<(), des::SimError> {
-        run_slice(&spec, range, local_threads, &shared.config.cfg, &progress, |row| {
-            active.sink.lock().unwrap().push(&row);
-            progress_gauge.set(progress.completed());
-            runs_counter.inc();
-        })
-    };
-    let mut failure: Option<String> = run_local(0..local_reps).err().map(|e| e.to_string());
-
-    // Collect remote outcomes; re-run failed slices locally.
-    for _ in 0..outstanding {
-        match done_rx.recv_timeout(ASSIGN_TIMEOUT) {
-            Ok((_, _, true)) => {}
-            Ok((start, count, false)) => {
-                if failure.is_none() {
-                    if let Err(e) = run_local(start..start + count) {
-                        failure = Some(e.to_string());
-                    }
-                }
+    let runs = rep_count as usize * chunk.batch.spec.cells.len();
+    let mut rows = Vec::with_capacity(runs);
+    loop {
+        match read_svc_frame(reader) {
+            Ok(Some(SvcFrame::RowBatch { job: j, rows: batch }))
+                if j == job && rows.len() + batch.len() <= runs =>
+            {
+                rows.extend(batch)
             }
-            Err(_) => {
-                failure.get_or_insert_with(|| "remote slice timed out".to_string());
-                break;
+            Ok(Some(SvcFrame::AssignDone { job: j, rep_start: s, rep_count: n, ok }))
+                if (j, s, n) == (job, rep_start, rep_count) =>
+            {
+                return if ok { Served::Rows(rows) } else { Served::Refused };
             }
-        }
-    }
-    progress_gauge.set(progress.completed());
-
-    // Finalize: seal the store, publish the aggregate.
-    *shared.active.lock().unwrap() = None;
-    let mut sink = Arc::try_unwrap(active)
-        .map(|a| a.sink.into_inner().unwrap())
-        .unwrap_or_else(|arc| {
-            // A conn thread still holds the Arc briefly; take the sink
-            // contents under the lock instead.
-            let mut guard = arc.sink.lock().unwrap();
-            ActiveSink {
-                writer: guard.writer.take(),
-                agg: std::mem::replace(&mut guard.agg, JobAggregate::for_spec(&spec)),
-                seen: std::mem::take(&mut guard.seen),
-                corrupt: guard.corrupt.take(),
-            }
-        });
-    if failure.is_none() {
-        failure = sink.corrupt.take();
-    }
-    if failure.is_none() && sink.agg.total_runs != spec.total_runs() {
-        failure = Some(format!(
-            "incomplete job: {}/{} runs",
-            sink.agg.total_runs,
-            spec.total_runs()
-        ));
-    }
-    if failure.is_none() {
-        if let Some(w) = sink.writer.take() {
-            match w.finish() {
-                Ok(sealed) => debug_assert_eq!(sealed.digest(), sink.agg.digest()),
-                Err(e) => failure = Some(format!("store seal failed: {e}")),
-            }
-        }
-    }
-
-    let mut jobs = shared.jobs.lock().unwrap();
-    if let Some(entry) = jobs.get_mut(&job) {
-        match failure {
-            None => {
-                entry.state = JobState::Done;
-                entry.result = Some(sink.agg);
-                shared.recorder.counter("sim_svc_jobs_completed_total", &[]).inc();
-            }
-            Some(reason) => {
-                entry.state = JobState::Failed;
-                entry.error = Some(reason);
-                shared.recorder.counter("sim_svc_jobs_failed_total", &[]).inc();
-            }
+            _ => return Served::Lost,
         }
     }
 }
@@ -684,7 +607,7 @@ impl SvcClient {
         let writer = TcpStream::connect(addr)?;
         let mut reader = BufReader::new(writer.try_clone()?);
         let mut w = &writer;
-        w.write_all(&crate::proto::encode_svc_frame(&SvcFrame::Hello {
+        w.write_all(&encode_svc_frame(&SvcFrame::Hello {
             role: Role::Client,
             threads: 0,
             digest: proto_digest(),
@@ -731,9 +654,11 @@ impl SvcClient {
         }
     }
 
-    /// Poll until the job leaves the queue/running states (or `timeout`).
+    /// Poll until the job leaves the queue/running states (or `timeout`):
+    /// after 500 µs, then at doubling intervals up to 20 ms.
     pub fn wait_done(&mut self, job: u64, timeout: Duration) -> Result<ProgressInfo, SvcError> {
         let deadline = std::time::Instant::now() + timeout;
+        let mut pause = Duration::from_micros(500);
         loop {
             let info = self.progress(job)?;
             match info.state {
@@ -744,12 +669,14 @@ impl SvcClient {
                         info.completed, info.total
                     )))
                 }
-                _ => std::thread::sleep(Duration::from_millis(20)),
+                _ => std::thread::sleep(pause),
             }
+            pause = (pause * 2).min(Duration::from_millis(20));
         }
     }
 
-    /// Ask the service to stop after the in-flight job.
+    /// Ask the service to stop: workers finish the run they hold and
+    /// every unfinished job fails with `service stopped`.
     pub fn shutdown(&mut self) -> Result<(), SvcError> {
         write_svc_frame(&mut self.writer, &SvcFrame::Shutdown)?;
         Ok(())
@@ -783,9 +710,10 @@ pub fn worker_attach(
     cfg: EngineConfig,
 ) -> Result<WorkerHandle, SvcError> {
     let stream = TcpStream::connect(addr)?;
+    stream.set_nodelay(true)?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut w = &stream;
-    w.write_all(&crate::proto::encode_svc_frame(&SvcFrame::Hello {
+    w.write_all(&encode_svc_frame(&SvcFrame::Hello {
         role: Role::Worker,
         threads: threads as u32,
         digest: proto_digest(),
@@ -804,45 +732,29 @@ pub fn worker_attach(
 
 fn worker_serve(
     mut reader: BufReader<TcpStream>,
-    stream: TcpStream,
+    mut stream: TcpStream,
     threads: usize,
     cfg: &EngineConfig,
 ) {
     while let Ok(Some(frame)) = read_svc_frame(&mut reader) {
         match frame {
             SvcFrame::Assign { job, rep_start, rep_count, spec } => {
-                let progress = Progress::default();
                 let mut rows: Vec<RunRow> = Vec::new();
-                let result = run_slice(
-                    &spec,
-                    rep_start..rep_start + rep_count,
-                    threads.max(1),
-                    cfg,
-                    &progress,
-                    |row| rows.push(row),
-                );
-                let mut out = BufWriter::new(&stream);
-                let ok = result.is_ok();
+                let reps = rep_start..rep_start + rep_count;
+                let progress = Progress::default();
+                let on_row = |row| rows.push(row);
+                let ok = run_slice(&spec, reps, threads.max(1), cfg, &progress, on_row).is_ok();
+                // The chunk's rows and its `AssignDone` leave in one write.
+                let mut out = Vec::new();
                 if ok {
                     for batch in rows.chunks(ROW_BATCH) {
-                        if write_svc_frame(&mut out, &SvcFrame::RowBatch {
-                            job,
-                            rows: batch.to_vec(),
-                        })
-                        .is_err()
-                        {
-                            return;
-                        }
+                        let rows = batch.to_vec();
+                        out.extend(encode_svc_frame(&SvcFrame::RowBatch { job, rows }));
                     }
                 }
-                if write_svc_frame(&mut out, &SvcFrame::AssignDone {
-                    job,
-                    rep_start,
-                    rep_count,
-                    ok,
-                })
-                .is_err()
-                {
+                let done = SvcFrame::AssignDone { job, rep_start, rep_count, ok };
+                out.extend(encode_svc_frame(&done));
+                if stream.write_all(&out).is_err() {
                     return;
                 }
             }

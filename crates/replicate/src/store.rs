@@ -12,7 +12,7 @@
 //!
 //! Chunks are *columnar*: each frame carries one metric column of one
 //! scenario cell, so a reader that only wants `latency_sum` percentiles
-//! touches only those frames. Rows arrive from the work-stealing pool
+//! touches only those frames. Rows arrive from the run pool
 //! (and remote ranks) in completion order; each carries its replication
 //! index, so on-disk order is irrelevant to the aggregate — histograms
 //! are order-free and the reader re-indexes by `(cell, column, rep)`.
