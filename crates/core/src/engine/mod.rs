@@ -15,8 +15,9 @@
 //!   (Jefferson's Time Warp): speculative execution with rollback and
 //!   anti-messages.
 //! * [`sharded::ShardedEngine`] — partitioned conservative simulation:
-//!   one sequential Chandy–Misra core per shard on a dedicated thread,
-//!   exchanging events and lookahead NULLs over bounded mailboxes
+//!   one sequential Chandy–Misra core per shard on its own thread (the
+//!   caller's for the last shard), exchanging events and lookahead
+//!   NULLs over bounded mailboxes
 //!   (`sim-shard` crate).
 //! * `galois-rt`'s `GaloisEngine` — the optimistic baseline (separate
 //!   crate; implements the same [`Engine`] trait).

@@ -4,10 +4,12 @@
 //! A [`PinPolicy`] maps shard indices to CPU cores; the sharded engines
 //! pin each shard thread *before* constructing its `ShardCore`, so the
 //! arena and port queues are first-touched — and therefore page-homed —
-//! on the core that will run them. Pinning uses a raw
-//! `sched_setaffinity` syscall on x86_64 Linux (the workspace
-//! deliberately has no libc binding); everywhere else the call is a
-//! no-op and shards simply run unpinned.
+//! on the core that will run them. `ShardedEngine` runs its last shard
+//! on the calling thread, which it pins for the run only: the caller's
+//! previous mask is saved first and put back afterwards. Pinning uses
+//! raw `sched_setaffinity`/`sched_getaffinity` syscalls on x86_64 Linux
+//! (the workspace deliberately has no libc binding); everywhere else
+//! the calls are no-ops and shards simply run unpinned.
 //!
 //! Policies degrade gracefully on small machines: `compact` and
 //! `spread` wrap modulo the online core count, so a 2-core laptop runs
@@ -114,24 +116,31 @@ pub fn pin_current_thread(core: usize) -> Option<usize> {
     if core >= 1024 {
         return None; // beyond our fixed-size cpu mask
     }
-    sched_setaffinity_self(core).then_some(core)
+    let mut mask: CpuMask = [0; 16];
+    mask[core / 64] = 1u64 << (core % 64);
+    sched_setaffinity_self(&mask).then_some(core)
 }
+
+/// A thread's CPU affinity: `cpu_set_t` as a 1024-bit mask (the kernel
+/// ABI size).
+pub(crate) type CpuMask = [u64; 16];
 
 /// `sched_setaffinity(0, …)` via a raw syscall: the workspace carries
 /// no libc binding, and the two-instruction wrapper is cheaper than
-/// growing one for a single call site.
+/// growing one for two call sites. `false` when unsupported on this
+/// target or the kernel refused.
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-fn sched_setaffinity_self(core: usize) -> bool {
-    // cpu_set_t as a 1024-bit mask (the kernel ABI size).
-    let mut mask = [0u64; 16];
-    mask[core / 64] = 1u64 << (core % 64);
+pub(crate) fn sched_setaffinity_self(mask: &CpuMask) -> bool {
     let ret: i64;
+    // SAFETY: the kernel only reads `size_of_val(mask)` bytes from
+    // `mask`, a live borrow of exactly that size; the syscall clobbers
+    // only rax, rcx and r11 (all declared) and the asm pushes nothing.
     unsafe {
         std::arch::asm!(
             "syscall",
             inlateout("rax") 203i64 => ret, // SYS_sched_setaffinity
             in("rdi") 0,                    // pid 0 = calling thread
-            in("rsi") std::mem::size_of_val(&mask),
+            in("rsi") std::mem::size_of_val(mask),
             in("rdx") mask.as_ptr(),
             lateout("rcx") _,
             lateout("r11") _,
@@ -141,9 +150,43 @@ fn sched_setaffinity_self(core: usize) -> bool {
     ret == 0
 }
 
+/// `sched_getaffinity(0, …)`, the same way: the calling thread's mask,
+/// for a thread that pins itself only for a while (the caller of
+/// `ShardedEngine::try_run` runs the last shard) to put back with
+/// [`sched_setaffinity_self`]. `None` when unsupported on this target or
+/// the kernel refused. The raw syscall returns the number of mask bytes
+/// the kernel wrote, not 0, on success.
+#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+pub(crate) fn sched_getaffinity_self() -> Option<CpuMask> {
+    let mut mask: CpuMask = [0; 16];
+    let ret: i64;
+    // SAFETY: the kernel writes at most `size_of_val(&mask)` bytes into
+    // `mask`, a local of exactly that size that outlives the call; the
+    // syscall clobbers only rax, rcx and r11 (all declared) and the asm
+    // pushes nothing.
+    unsafe {
+        std::arch::asm!(
+            "syscall",
+            inlateout("rax") 204i64 => ret, // SYS_sched_getaffinity
+            in("rdi") 0,                    // pid 0 = calling thread
+            in("rsi") std::mem::size_of_val(&mask),
+            in("rdx") mask.as_mut_ptr(),
+            lateout("rcx") _,
+            lateout("r11") _,
+            options(nostack),
+        );
+    }
+    (ret > 0).then_some(mask)
+}
+
 #[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
-fn sched_setaffinity_self(_core: usize) -> bool {
+pub(crate) fn sched_setaffinity_self(_mask: &CpuMask) -> bool {
     false
+}
+
+#[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
+pub(crate) fn sched_getaffinity_self() -> Option<CpuMask> {
+    None
 }
 
 #[cfg(test)]
@@ -213,8 +256,14 @@ mod tests {
         // Core 0 is always online; the raw syscall must land. Pin a
         // throwaway thread, not the shared test-harness thread.
         std::thread::spawn(|| {
+            let saved = sched_getaffinity_self().expect("sched_getaffinity");
             assert_eq!(pin_current_thread(0), Some(0));
+            let mut core0: CpuMask = [0; 16];
+            core0[0] = 1;
+            assert_eq!(sched_getaffinity_self(), Some(core0));
             assert_eq!(pin_current_thread(100_000), None);
+            assert!(sched_setaffinity_self(&saved));
+            assert_eq!(sched_getaffinity_self(), Some(saved));
         })
         .join()
         .unwrap();

@@ -4,12 +4,13 @@
 //! Where [`super::hj::HjEngine`] parallelizes at single-node granularity
 //! over one shared workset (Algorithm 2), this engine splits the netlist
 //! into K shards (`sim-shard`'s [`Partition`]) and runs one *sequential*
-//! Chandy–Misra core per shard on a dedicated thread — the PARSIR-style
-//! architecture. Shards share nothing; every cross-shard edge carries its
-//! traffic through bounded, batched mailboxes ([`shard::comm`]): a node
-//! run stages what it sends and the link hands it over in one operation
-//! at the end of the run, when a staging buffer fills, and before the
-//! shard blocks. What crosses:
+//! Chandy–Misra core per shard on its own thread — the PARSIR-style
+//! architecture. Shards 0 to K−2 each get a scoped thread; the thread
+//! calling `try_run` runs shard K−1. Shards share nothing; every
+//! cross-shard edge carries its traffic through bounded, batched
+//! mailboxes ([`shard::comm`]): a node run stages what it sends and the
+//! link hands it over in one operation at the end of the run, when a
+//! staging buffer fills, and before the shard blocks. What crosses:
 //!
 //! * **payload events**, delivered into the destination port's FIFO deque
 //!   exactly as a local delivery would be (each input port has a single
@@ -88,7 +89,7 @@ use fault::{
     WorkerSnapshot,
 };
 use net::transport::{
-    loopback, FabricProbe, Link, RecvTimeoutError, TryRecvError, TrySendError,
+    loopback, FabricProbe, Link, Loopback, RecvTimeoutError, TryRecvError, TrySendError,
 };
 use obs::{Counter, Recorder, SpanKind};
 use shard::comm::{incoming_cut_edges, outgoing_cut_edges, CutEdge, ShardMsg};
@@ -202,6 +203,36 @@ impl Engine for ShardedEngine {
         stimulus: &Stimulus,
         delays: &DelayModel,
     ) -> Result<SimOutput, SimError> {
+        let wall_start = Instant::now();
+        let (outcomes, imbalance_pct) = self.run_shards(circuit, stimulus, delays)?;
+        let output = merge_outcomes(circuit, outcomes, imbalance_pct);
+        output.stats.publish_ranked(
+            self.policy.recorder(),
+            &self.name(),
+            self.rank,
+            wall_start.elapsed(),
+        );
+        Ok(output)
+    }
+}
+
+impl ShardedEngine {
+    /// Partition, run every shard to completion, and return the
+    /// per-shard outcomes in shard order with the partition's node-count
+    /// imbalance.
+    ///
+    /// Shards 0 to K−2 each run on a scoped thread; the calling thread
+    /// runs shard K−1 itself. Its heap is already warm, so that shard
+    /// allocates from memory the process keeps rather than from a fresh
+    /// thread arena the allocator hands back to the OS after every run
+    /// (on ks128 shard K−1 owns the high bits, which process the most
+    /// events), and one spawn/join per run goes away.
+    fn run_shards(
+        &self,
+        circuit: &Circuit,
+        stimulus: &Stimulus,
+        delays: &DelayModel,
+    ) -> Result<(Vec<ShardOutcome>, u64), SimError> {
         assert_eq!(stimulus.num_inputs(), circuit.inputs().len());
         assert!(
             self.rebalance.is_none() || self.checkpoint.is_none(),
@@ -210,11 +241,10 @@ impl Engine for ShardedEngine {
         let fault = Arc::clone(self.policy.fault());
         fault.reset();
         let recorder = self.policy.recorder();
-        let wall_start = Instant::now();
         let partition = Partition::build(circuit, self.num_shards, self.strategy);
         let metrics = partition.metrics(circuit);
         let ctl = Arc::new(RunCtl::new());
-        let (links, probe) = loopback(self.num_shards, self.mailbox_capacity);
+        let (mut links, probe) = loopback(self.num_shards, self.mailbox_capacity);
         // Checkpointing rides the same epoch-barrier protocol as
         // rebalancing, under a policy whose planner never moves a node.
         let barrier_policy = self
@@ -259,74 +289,63 @@ impl Engine for ShardedEngine {
             })
         });
 
-        // One OS thread per shard. Panics are contained at the shard
-        // boundary: the core is built *inside* catch_unwind so an unwind
-        // drops its endpoint (other shards observe Disconnected and
-        // retire), and the scope joins every thread before we return —
-        // the drained-on-error guarantee.
-        let mut outcomes: Vec<Option<ShardOutcome>> = Vec::with_capacity(self.num_shards);
-        std::thread::scope(|scope| {
+        // Panics are contained at the shard boundary: the core is built
+        // *inside* catch_unwind so an unwind drops its endpoint (other
+        // shards observe Disconnected and retire), and the scope joins
+        // every thread before we return — the drained-on-error guarantee.
+        let engine_name = self.name();
+        let run_shard = |link: Loopback| {
+            let id = link.shard();
+            // Pin before building the core: the arena and port queues are
+            // then allocated from the pinned core (first-touch locality).
+            mem[id].record_pin(pin_plan[id].and_then(pin::pin_current_thread));
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                let reb = bus.as_ref().zip(barrier_policy);
+                let ckpt = ckpt_setup.as_ref().map(|setup| setup.spec_for(id));
+                let mut core = ShardCore::new(
+                    circuit,
+                    stimulus,
+                    delays,
+                    partition.clone(),
+                    link,
+                    &ctl,
+                    &fault,
+                    reb,
+                    ckpt,
+                    RunProbe::with_rank(recorder, &engine_name, &format!("shard-{id}"), self.rank),
+                    self.arena_capacity,
+                    &mem[id],
+                    &waits,
+                );
+                core.run();
+                core.into_outcome()
+            }));
+            shard_done[id].store(true, Ordering::Release);
+            match result {
+                Ok(outcome) => Some(outcome),
+                Err(payload) => {
+                    ctl.record_error(SimError::from_panic(None, payload.as_ref()));
+                    None
+                }
+            }
+        };
+        let last = links.pop().expect("at least one shard");
+        let outcomes: Vec<Option<ShardOutcome>> = std::thread::scope(|scope| {
+            let run_shard = &run_shard;
             let handles: Vec<_> = links
                 .into_iter()
-                .map(|link| {
-                    let ctl = Arc::clone(&ctl);
-                    let fault = Arc::clone(&fault);
-                    let done = Arc::clone(&shard_done);
-                    let partition = &partition;
-                    let bus = bus.as_ref();
-                    let ckpt_setup = ckpt_setup.as_ref();
-                    let recorder = &recorder;
-                    let engine_name = self.name();
-                    let arena_capacity = self.arena_capacity;
-                    let pin_slot = pin_plan[link.shard()];
-                    let mem = Arc::clone(&mem);
-                    let waits = &waits;
-                    scope.spawn(move || {
-                        let id = link.shard();
-                        // Pin before building the core: the arena and port
-                        // queues are then allocated from the pinned core
-                        // (first-touch locality).
-                        mem[id].record_pin(pin_slot.and_then(pin::pin_current_thread));
-                        let result = catch_unwind(AssertUnwindSafe(|| {
-                            let reb = bus.zip(barrier_policy);
-                            let ckpt = ckpt_setup.map(|setup| setup.spec_for(id));
-                            let mut core = ShardCore::new(
-                                circuit,
-                                stimulus,
-                                delays,
-                                partition.clone(),
-                                link,
-                                &ctl,
-                                &fault,
-                                reb,
-                                ckpt,
-                                RunProbe::with_rank(
-                                    recorder,
-                                    &engine_name,
-                                    &format!("shard-{id}"),
-                                    self.rank,
-                                ),
-                                arena_capacity,
-                                &mem[id],
-                                waits,
-                            );
-                            core.run();
-                            core.into_outcome()
-                        }));
-                        done[id].store(true, Ordering::Release);
-                        match result {
-                            Ok(outcome) => Some(outcome),
-                            Err(payload) => {
-                                ctl.record_error(SimError::from_panic(None, payload.as_ref()));
-                                None
-                            }
-                        }
-                    })
-                })
+                .map(|link| scope.spawn(move || run_shard(link)))
                 .collect();
-            for handle in handles {
-                outcomes.push(handle.join().unwrap_or(None));
+            // A pinned caller gets its own affinity back after the run.
+            let saved = pin_plan[last.shard()].and_then(|_| pin::sched_getaffinity_self());
+            let own = run_shard(last);
+            if let Some(mask) = saved {
+                pin::sched_setaffinity_self(&mask);
             }
+            let mut outcomes: Vec<_> =
+                handles.into_iter().map(|h| h.join().unwrap_or(None)).collect();
+            outcomes.push(own);
+            outcomes
         });
         if let Some(dog) = watchdog {
             dog.disarm();
@@ -335,19 +354,12 @@ impl Engine for ShardedEngine {
         if let Some(err) = ctl.take_error() {
             return Err(err);
         }
-        let outcomes: Vec<ShardOutcome> = match outcomes.into_iter().collect() {
-            Some(v) => v,
-            None => {
-                return Err(SimError::invariant(
-                    "sharded: a shard produced no outcome without recording an error",
-                ))
-            }
-        };
-        let output = merge_outcomes(circuit, outcomes, metrics.load_imbalance_pct);
-        output
-            .stats
-            .publish_ranked(recorder, &self.name(), self.rank, wall_start.elapsed());
-        Ok(output)
+        match outcomes.into_iter().collect() {
+            Some(outcomes) => Ok((outcomes, metrics.load_imbalance_pct)),
+            None => Err(SimError::invariant(
+                "sharded: a shard produced no outcome without recording an error",
+            )),
+        }
     }
 }
 
@@ -2173,6 +2185,121 @@ mod tests {
         let resumed = ShardedEngine::from_config(&cfg.with_restore(true)).run(&c, &s, &delays);
         check_equivalent(&reference, &resumed).expect("restored observables diverge");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+    #[test]
+    fn pinned_run_gives_the_caller_its_affinity_back() {
+        // The calling thread runs the last shard, pinned like any other;
+        // it must leave `try_run` with the mask it came in with.
+        fn allowed_cpus() -> String {
+            let status = std::fs::read_to_string("/proc/thread-self/status").unwrap();
+            status
+                .lines()
+                .find(|l| l.starts_with("Cpus_allowed_list:"))
+                .expect("Cpus_allowed_list in /proc/thread-self/status")
+                .to_string()
+        }
+        let c = kogge_stone_adder(16);
+        let s = Stimulus::random_vectors(&c, 4, 5, 13);
+        let before = allowed_cpus();
+        for k in [1, 2] {
+            pinned(k, PinPolicy::Compact).run(&c, &s, &DelayModel::standard());
+            assert_eq!(allowed_cpus(), before, "k={k}");
+        }
+    }
+
+    /// ks128 as the repository benchmark drives it: two random vectors,
+    /// period 10.
+    fn ks128() -> (Circuit, Stimulus) {
+        let c = kogge_stone_adder(128);
+        let s = Stimulus::random_vectors(&c, 2, 10, 3);
+        (c, s)
+    }
+
+    #[test]
+    fn default_partition_shares_ks128_work_between_shards() {
+        // Depth slices put ~98 % of ks128's events on the deep shard
+        // (observed imbalance ~96 %) and K=2 ran no faster than K=1.
+        let (c, s) = ks128();
+        let delays = DelayModel::standard();
+        let seq = SeqWorksetEngine::new().run(&c, &s, &delays);
+        let out = sharded_k(2).run(&c, &s, &delays);
+        check_equivalent(&seq, &out).expect("ks128 K=2 observables");
+        assert_eq!(seq.node_values, out.node_values);
+        assert!(
+            out.stats.shard_load_imbalance_pct <= 50,
+            "K=2 observed imbalance {}%",
+            out.stats.shard_load_imbalance_pct
+        );
+        for k in [4, 8] {
+            let (outcomes, _) = sharded_k(k).run_shards(&c, &s, &delays).unwrap();
+            let events: Vec<u64> = outcomes.iter().map(|o| o.stats.events_processed).collect();
+            assert!(
+                events.iter().all(|&e| e > 0),
+                "k={k}: events per shard {events:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn panic_in_the_callers_shard_surfaces_and_spawned_shards_retire() {
+        // Shard K-1 runs on the calling thread. Its panic must come back
+        // as a structured error once every spawned shard has retired, and
+        // leave the engine reusable.
+        let c = kogge_stone_adder(16);
+        let s = Stimulus::random_vectors(&c, 4, 5, 13);
+        let delays = DelayModel::standard();
+        let seq = SeqWorksetEngine::new().run(&c, &s, &delays);
+        for k in [1, 2, 4] {
+            let last = k as u64 - 1;
+            let faulty = ShardedEngine::from_config(
+                &cfg_k(k).with_fault_plan(FaultPlan::seeded(7).panic_in_shard(last)),
+            );
+            let started = Instant::now();
+            match faulty.try_run(&c, &s, &delays) {
+                Err(SimError::TaskPanicked { payload, .. }) => {
+                    assert!(payload.contains("injected"), "k={k}: {payload}")
+                }
+                other => panic!("k={k}: expected TaskPanicked, got {other:?}"),
+            }
+            assert!(
+                started.elapsed() < Duration::from_secs(8),
+                "k={k}: took {:?}",
+                started.elapsed()
+            );
+            let out = sharded_k(k)
+                .try_run(&c, &s, &delays)
+                .expect("clean run after the panic");
+            check_equivalent(&seq, &out).unwrap_or_else(|e| panic!("k={k}: {e}"));
+        }
+    }
+
+    #[test]
+    fn wedged_two_shard_run_trips_the_watchdog() {
+        // Both shards wedge, one of them on the calling thread: the
+        // watchdog thread must still cancel the run.
+        let c = c17();
+        let s = Stimulus::random_vectors(&c, 8, 3, 11);
+        let deadline = Duration::from_millis(300);
+        let engine = ShardedEngine::from_config(
+            &cfg_k(2)
+                .with_fault_plan(FaultPlan::seeded(1).wedged())
+                .with_watchdog(Some(deadline)),
+        );
+        let started = Instant::now();
+        match engine.try_run(&c, &s, &DelayModel::standard()) {
+            Err(SimError::NoProgress { snapshot }) => {
+                assert!(snapshot.stalled_for >= deadline);
+                assert_eq!(snapshot.workers.len(), 2);
+            }
+            other => panic!("expected NoProgress, got {other:?}"),
+        }
+        assert!(
+            started.elapsed() < Duration::from_secs(8),
+            "took {:?}",
+            started.elapsed()
+        );
     }
 
     #[test]
