@@ -1036,9 +1036,9 @@ fn recover_experiment(opts: &Options) {
 /// under the default partition, which keeps ring neighbours together,
 /// and under round-robin, which cuts every remote hop and so prices the
 /// mailbox fabric — asserts the deterministic observables and
-/// event-stream checksums are bit-identical, prints the events/s table,
-/// cross-checks the M/M/c queueing network at K=4, and writes
-/// `BENCH_phold.json`.
+/// event-stream checksums are bit-identical, prints the events/s table
+/// with the protocol messages each run routed, cross-checks the M/M/c
+/// queueing network at K=4, and writes `BENCH_phold.json`.
 fn phold_experiment(opts: &Options) {
     use des::PartitionStrategy;
     use model::phold::{self, PholdConfig};
@@ -1069,7 +1069,16 @@ fn phold_experiment(opts: &Options) {
     );
 
     let build = || phold::build(cfg, SEED, horizon as u64);
-    let mut t = Table::new(["engine", "shards", "partition", "time (min)", "events", "events/s"]);
+    let mut t = Table::new([
+        "engine",
+        "shards",
+        "partition",
+        "time (min)",
+        "events",
+        "events/s",
+        "msgs_routed",
+        "msgs/event",
+    ]);
     let mut json_rows = Vec::new();
     let mut reference: Option<model::ModelOutput> = None;
     let shard_counts = [1usize, 2, 4];
@@ -1100,6 +1109,8 @@ fn phold_experiment(opts: &Options) {
         }
         let events = out.stats.events_delivered;
         let eps = events as f64 / best.as_secs_f64();
+        let msgs = out.stats.msgs_routed;
+        let msgs_per_event = msgs as f64 / events.max(1) as f64;
         t.row([
             engine.to_string(),
             k.to_string(),
@@ -1107,10 +1118,13 @@ fn phold_experiment(opts: &Options) {
             fmt_duration(best),
             fmt_count(events),
             fmt_count(eps as u64),
+            fmt_count(msgs),
+            format!("{msgs_per_event:.3}"),
         ]);
         json_rows.push(format!(
             "{{\"engine\": \"{engine}\", \"shards\": {k}, \"partition\": \"{partition}\", \
              \"min_ms\": {:.3}, \"events\": {events}, \"events_per_sec\": {:.0}, \
+             \"msgs_routed\": {msgs}, \"msgs_per_event\": {msgs_per_event:.4}, \
              \"checksum\": {}}}",
             best.as_secs_f64() * 1e3,
             eps,

@@ -3,13 +3,14 @@
 //! Every queue-based engine used to shuffle owned `Event` values through
 //! per-port `VecDeque`s: each cross-port move was a copy, and the deques
 //! themselves grew and shrank on whatever thread happened to touch them.
-//! [`EventArena`] replaces that with one slab per execution context
-//! (shard thread, actor, component): events live in a contiguous slot
-//! vector allocated on the owning thread (first touch pins the pages to
-//! that thread's NUMA node when the thread itself is pinned), queues
-//! hold 8-byte [`EventRef`] handles, and freed slots are recycled
-//! through a LIFO free list so steady-state simulation allocates
-//! nothing.
+//! [`EventArena`] replaces that with one slab per execution context (a
+//! circuit shard thread, an actor, a model engine's loop or shard
+//! thread; every node or component the context runs shares it): events
+//! live in a contiguous slot vector allocated on the owning thread
+//! (first touch pins the pages to that thread's NUMA node when the
+//! thread itself is pinned), queues hold 8-byte [`EventRef`] handles,
+//! and freed slots are recycled through a LIFO free list so
+//! steady-state simulation allocates nothing.
 //!
 //! Handles are *generational*: each slot carries a generation counter
 //! that is bumped when the slot is freed, and a ref minted for an
@@ -48,8 +49,9 @@ struct Slot<V> {
 }
 
 /// A slab of in-flight events with free-list reuse and generational
-/// handles. One arena per shard/actor/component — never shared across
-/// threads, so no interior mutability and no contention.
+/// handles. One arena per execution context (shard thread, actor, model
+/// executor thread), shared by every node or component it runs — never
+/// shared across threads, so no interior mutability and no contention.
 #[derive(Debug, Clone)]
 pub struct EventArena<V = Logic> {
     slots: Vec<Slot<V>>,

@@ -15,7 +15,7 @@ use shard::comm::{fabric, Mailbox, RecvTimeoutError, TrySendError};
 
 use crate::component::Payload;
 use crate::graph::{Link, ModelGraph};
-use crate::runtime::{fold_run_checksum, CompCore, OutMsg};
+use crate::runtime::{fold_run_checksum, CompCore, OutLink, OutMsg, Workspace};
 
 /// Names accepted by [`run`]/[`try_run`].
 pub const MODEL_ENGINE_NAMES: [&str; 2] = ["model-seq", "model-sharded"];
@@ -31,7 +31,8 @@ pub struct ModelStats {
     /// Events handled by component handlers.
     pub events_delivered: u64,
     /// Protocol messages routed between components (events, promises
-    /// and terminal NULLs).
+    /// and terminal NULLs; a promise riding on an event is not a
+    /// message of its own).
     pub msgs_routed: u64,
     /// Component activations executed.
     pub activations: u64,
@@ -213,6 +214,9 @@ fn arm_watchdog(
     ))
 }
 
+/// Lower every component onto a [`CompCore`], handing each exactly its
+/// own out links: one sort by `(src, out_ix)`, then each component takes
+/// the next run of links off the front.
 fn lower<P: Payload>(
     seed: u64,
     horizon: u64,
@@ -223,18 +227,36 @@ fn lower<P: Payload>(
     for l in links {
         in_counts[l.dst] += 1;
     }
+    let mut by_src: Vec<&Link> = links.iter().collect();
+    by_src.sort_unstable_by_key(|l| (l.src, l.out_ix));
+    let mut rest = by_src.as_slice();
     comps
         .into_iter()
         .enumerate()
-        .map(|(id, c)| CompCore::new(id, c, seed, horizon, in_counts[id], links))
+        .map(|(id, c)| {
+            let (own, tail) = rest.split_at(rest.iter().take_while(|l| l.src == id).count());
+            rest = tail;
+            let out = own
+                .iter()
+                .map(|l| OutLink {
+                    dst: l.dst,
+                    dst_port: l.dst_port,
+                    lookahead: l.lookahead,
+                })
+                .collect();
+            CompCore::new(id, c, seed, horizon, in_counts[id], out)
+        })
         .collect()
 }
 
-fn deliver<P: Payload>(core: &mut CompCore<P>, msg: OutMsg<P>) {
-    match msg {
-        OutMsg::Event { port, ev, .. } => core.deliver_event(port, ev),
-        OutMsg::Promise { port, ts, .. } => core.deliver_promise(port, ts),
-        OutMsg::Null { port, .. } => core.deliver_null(port),
+/// The end-of-run leak check: every event a thread's slab ever held was
+/// handled by the time its components are done.
+fn check_drained<P>(engine: &str, ws: &Workspace<P>) -> Result<(), SimError> {
+    match ws.arena.live() {
+        0 => Ok(()),
+        live => Err(SimError::invariant(format!(
+            "{engine}: {live} events left in the event slab after a clean run"
+        ))),
     }
 }
 
@@ -264,6 +286,7 @@ impl SeqModelEngine {
 
         let (seed, horizon, names, comps, links) = graph.into_parts();
         let mut cores = lower(seed, horizon, comps, &links);
+        let mut ws = Workspace::new();
         let mut stats = ModelStats::default();
         let mut out: Vec<OutMsg<P>> = Vec::new();
         let mut result: Result<(), SimError> = Ok(());
@@ -290,13 +313,14 @@ impl SeqModelEngine {
                     (recorder.is_enabled() && stats.activations & HOT_SAMPLE_MASK == 0)
                         .then(Instant::now);
                 let core = &mut cores[i];
-                let handled = match catch_unwind(AssertUnwindSafe(|| core.activate(&mut out))) {
-                    Ok(n) => n,
-                    Err(payload) => {
-                        result = Err(SimError::from_panic(Some(i), &*payload));
-                        break 'run;
-                    }
-                };
+                let handled =
+                    match catch_unwind(AssertUnwindSafe(|| core.activate(&mut ws, &mut out))) {
+                        Ok(n) => n,
+                        Err(payload) => {
+                            result = Err(SimError::from_panic(Some(i), &*payload));
+                            break 'run;
+                        }
+                    };
                 if let Some(start) = sampled {
                     tracer.complete(SpanKind::NodeRun, i as u64, handled, start);
                 }
@@ -305,11 +329,12 @@ impl SeqModelEngine {
                 stats.msgs_routed += out.len() as u64;
                 progress += handled + out.len() as u64;
                 for msg in out.drain(..) {
-                    deliver(&mut cores[msg.dst()], msg);
+                    cores[msg.dst()].deliver(&mut ws, msg);
                 }
             }
             ctl.tick_n(progress);
             if cores.iter().all(|c| c.is_done()) {
+                result = check_drained("model-seq", &ws);
                 break;
             }
             if progress == 0 {
@@ -399,12 +424,14 @@ impl ShardedModelEngine {
                 let me = mailbox.shard();
                 let shard = ModelShard {
                     local,
+                    ws: Workspace::new(),
                     mailbox,
                     assignment: Arc::clone(&assignment),
                     g2l: Arc::clone(&g2l),
                     ctl: Arc::clone(&ctl),
                     tracer: recorder.tracer(&format!("model-shard-{me}")),
                     moved: 0,
+                    idle_ns: 0,
                 };
                 let fault = Arc::clone(&fault);
                 let recorder = recorder.clone();
@@ -467,9 +494,11 @@ enum Halt {
     Failed(SimError),
 }
 
-/// One shard thread's state: its components and its end of the fabric.
+/// One shard thread's state: its components, the one event slab and
+/// scratch set they share, and its end of the fabric.
 struct ModelShard<P: Payload> {
     local: Vec<CompCore<P>>,
+    ws: Workspace<P>,
     mailbox: Mailbox<OutMsg<P>>,
     /// Component id → owning shard, and → index in that shard's `local`.
     assignment: Arc<Vec<usize>>,
@@ -478,6 +507,10 @@ struct ModelShard<P: Payload> {
     tracer: Tracer,
     /// Messages taken from the inbox since the last progress report.
     moved: u64,
+    /// Nanoseconds spent waiting: in the idle `recv_timeout` and in the
+    /// backpressure sleeps of `relieve`. One clock span per wait; a busy
+    /// sweep reads no clock.
+    idle_ns: u64,
 }
 
 impl<P: Payload> ModelShard<P> {
@@ -487,8 +520,8 @@ impl<P: Payload> ModelShard<P> {
         fault: &des::FaultPlan,
         recorder: &Recorder,
     ) -> Result<ShardDone, SimError> {
-        // Pin first: component arenas grow on demand, so their pages are
-        // first-touched from the pinned core.
+        // Pin first: the shard's event slab grows on demand, so its
+        // pages are first-touched from the pinned core.
         if let Some(core) = pin_slot {
             des::engine::pin::pin_current_thread(core);
         }
@@ -499,6 +532,7 @@ impl<P: Payload> ModelShard<P> {
             activations: 0,
             comps: Vec::new(),
         };
+        let mut sweeps = 0u64;
         let mut out: Vec<OutMsg<P>> = Vec::new();
 
         let ended: Result<(), Halt> = 'run: loop {
@@ -532,8 +566,8 @@ impl<P: Payload> ModelShard<P> {
                 let gid = self.local[li].id;
                 let sampled = (recorder.is_enabled() && done.activations & HOT_SAMPLE_MASK == 0)
                     .then(Instant::now);
-                let core = &mut self.local[li];
-                let n = match catch_unwind(AssertUnwindSafe(|| core.activate(&mut out))) {
+                let (core, ws) = (&mut self.local[li], &mut self.ws);
+                let n = match catch_unwind(AssertUnwindSafe(|| core.activate(ws, &mut out))) {
                     Ok(n) => n,
                     Err(payload) => {
                         break 'run Err(Halt::Failed(SimError::from_panic(Some(gid), &*payload)))
@@ -555,6 +589,7 @@ impl<P: Payload> ModelShard<P> {
                     }
                 }
             }
+            sweeps += 1;
             let (handled, routed) = (done.handled - before.0, done.routed - before.1);
             // End of the sweep: publish what is still staged. This is
             // also the flush before the blocking wait below, and before
@@ -566,11 +601,12 @@ impl<P: Payload> ModelShard<P> {
             self.ctl.tick_n(handled + routed + moved);
 
             if self.local.iter().all(|c| c.is_done()) {
-                break Ok(());
+                break check_drained("model-sharded", &self.ws).map_err(Halt::Failed);
             }
             if handled == 0 && routed == 0 && moved == 0 {
                 // Nothing local to do: block briefly for upstream traffic,
                 // re-checking cancellation at a human-invisible cadence.
+                let idle_from = Instant::now();
                 match self.mailbox.recv_timeout(Duration::from_millis(1)) {
                     Ok(msg) => {
                         self.deliver_local(msg);
@@ -583,8 +619,19 @@ impl<P: Payload> ModelShard<P> {
                         std::thread::sleep(Duration::from_millis(1))
                     }
                 }
+                self.idle_ns += idle_from.elapsed().as_nanos() as u64;
             }
         };
+        if recorder.is_enabled() {
+            let shard = me.to_string();
+            let labels = [("engine", "model-sharded"), ("shard", shard.as_str())];
+            recorder
+                .counter("sim_model_sweeps_total", &labels)
+                .add(sweeps);
+            recorder
+                .counter("sim_model_idle_ns_total", &labels)
+                .add(self.idle_ns);
+        }
         if let Err(Halt::Failed(err)) = ended {
             self.ctl.record_error(err.clone());
             return Err(err);
@@ -595,7 +642,7 @@ impl<P: Payload> ModelShard<P> {
 
     fn deliver_local(&mut self, msg: OutMsg<P>) {
         let li = self.g2l[msg.dst()];
-        deliver(&mut self.local[li], msg);
+        self.local[li].deliver(&mut self.ws, msg);
     }
 
     /// Take everything published to this shard's inbox.
@@ -656,8 +703,29 @@ impl<P: Payload> ModelShard<P> {
         if drained == 0 {
             // Nothing of ours to drain: the destination is busy, not
             // blocked on us.
+            let idle_from = Instant::now();
             std::thread::sleep(Duration::from_micros(50));
+            self.idle_ns += idle_from.elapsed().as_nanos() as u64;
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use des::Event;
+
+    #[test]
+    fn an_undrained_slab_fails_the_run() {
+        let mut ws = Workspace::new();
+        assert!(check_drained("model-seq", &ws).is_ok());
+        ws.arena.alloc(Event::new(3, 0u64));
+        match check_drained("model-seq", &ws) {
+            Err(SimError::InvariantViolation { context }) => {
+                assert!(context.contains("1 events left"), "{context}")
+            }
+            other => panic!("expected an invariant violation, got {other:?}"),
+        }
     }
 }

@@ -26,9 +26,17 @@
 //!   though handlers emit with non-monotone delays.
 //! * **Promises** — after flushing, the link's receive clock is
 //!   advanced to `clock + lookahead` (a NULL promise, sent only when it
-//!   grew). Once the promise reaches the horizon — or the local clock
-//!   is exhausted ([`NULL_TS`]) — the link gets its terminal NULL and
-//!   closes.
+//!   grew). A flush that released an event on the link hangs the
+//!   promise on its last event (`then`) instead of sending a message of
+//!   its own; the receiver queues the event, then advances the port
+//!   clock, exactly as if the promise had followed. Once the promise
+//!   reaches the horizon — or the local clock is exhausted
+//!   ([`NULL_TS`]) — the link gets its terminal NULL and closes.
+//!
+//! A core owns no event memory of its own: the events queued on its
+//! ports and its self-events live in the [`Workspace`] of the executor
+//! thread that runs it, one slab per thread however many components
+//! the thread holds.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -37,7 +45,6 @@ use des::node::{local_clock, PortQueue};
 use des::{Event, EventArena, EventRef, Timestamp, NULL_TS};
 
 use crate::component::{Component, Ctx, EventSource, Payload};
-use crate::graph::Link;
 use crate::rng::DetRng;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -53,11 +60,15 @@ pub(crate) struct OutLink {
 
 /// What an activation emits for the engine to route.
 pub(crate) enum OutMsg<P> {
-    /// A payload event for `dst`'s input port `port`.
+    /// A payload event for `dst`'s input port `port`. A nonzero `then` is
+    /// a promise riding on the event: once the event is queued, the
+    /// port's clock advances to `then`. Zero means none (every promise
+    /// is `clock + lookahead >= 1`).
     Event {
         dst: usize,
         port: usize,
         ev: Event<P>,
+        then: Timestamp,
     },
     /// A lookahead NULL promise: no event earlier than `ts` will follow
     /// on this link.
@@ -88,8 +99,8 @@ struct Staged<P> {
     payload: P,
 }
 
-/// A pending self-scheduled event. The payload lives in the
-/// component's arena (as `Event { time: at, value }`); the heap orders
+/// A pending self-scheduled event. The payload lives in the executor
+/// thread's arena (as `Event { time: at, value }`); the heap orders
 /// lightweight handles only.
 struct SelfEv {
     at: Timestamp,
@@ -134,15 +145,34 @@ impl Ord for SelfEv {
     }
 }
 
+/// The memory one executor thread lends every core it runs: the slab
+/// holding every event queued on those cores (port events and
+/// self-events alike; the queues hold handles into it) and the handler
+/// scratch buffers.
+pub(crate) struct Workspace<P> {
+    pub(crate) arena: EventArena<P>,
+    sent: Vec<(usize, Timestamp, P)>,
+    selfs: Vec<(Timestamp, P)>,
+    enc: Vec<u8>,
+}
+
+impl<P> Workspace<P> {
+    pub(crate) fn new() -> Self {
+        Workspace {
+            arena: EventArena::new(),
+            sent: Vec::new(),
+            selfs: Vec::new(),
+            enc: Vec::new(),
+        }
+    }
+}
+
 /// A component lowered onto the conservative machinery.
 pub(crate) struct CompCore<P: Payload> {
     pub(crate) id: usize,
     comp: Box<dyn Component<P>>,
     rng: DetRng,
     horizon: Timestamp,
-    /// Slab holding every event queued on this component (port events
-    /// and self-events alike); the queues below hold handles into it.
-    arena: EventArena<P>,
     /// One generic FIFO-plus-clock queue per inbound link.
     ports: Vec<PortQueue<P>>,
     out: Vec<OutLink>,
@@ -165,39 +195,19 @@ pub(crate) struct CompCore<P: Payload> {
     pub(crate) dropped: u64,
     /// FNV-1a over the handled event stream (ts, source, payload).
     pub(crate) checksum: u64,
-    // Reusable scratch buffers.
-    sent_buf: Vec<(usize, Timestamp, P)>,
-    self_buf: Vec<(Timestamp, P)>,
-    enc_buf: Vec<u8>,
 }
 
 impl<P: Payload> CompCore<P> {
     /// Lower component `id`: derive its RNG stream from the graph seed
-    /// and wire its declared links.
+    /// and wire its outbound links, `out[i]` being out link `i`.
     pub(crate) fn new(
         id: usize,
         comp: Box<dyn Component<P>>,
         seed: u64,
         horizon: Timestamp,
         in_count: usize,
-        links: &[Link],
+        out: Vec<OutLink>,
     ) -> Self {
-        let mut out: Vec<(usize, OutLink)> = links
-            .iter()
-            .filter(|l| l.src == id)
-            .map(|l| {
-                (
-                    l.out_ix,
-                    OutLink {
-                        dst: l.dst,
-                        dst_port: l.dst_port,
-                        lookahead: l.lookahead,
-                    },
-                )
-            })
-            .collect();
-        out.sort_by_key(|(ix, _)| *ix);
-        let out: Vec<OutLink> = out.into_iter().map(|(_, l)| l).collect();
         let lookaheads: Vec<u64> = out.iter().map(|l| l.lookahead).collect();
         let n_out = out.len();
         CompCore {
@@ -205,7 +215,6 @@ impl<P: Payload> CompCore<P> {
             comp,
             rng: DetRng::new(seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(id as u64 + 1)),
             horizon,
-            arena: EventArena::new(),
             ports: (0..in_count).map(|_| PortQueue::new()).collect(),
             out,
             lookaheads,
@@ -219,9 +228,6 @@ impl<P: Payload> CompCore<P> {
             delivered: 0,
             dropped: 0,
             checksum: FNV_OFFSET,
-            sent_buf: Vec::new(),
-            self_buf: Vec::new(),
-            enc_buf: Vec::new(),
         }
     }
 
@@ -229,35 +235,32 @@ impl<P: Payload> CompCore<P> {
         self.done
     }
 
-    /// Deliver a cross-component payload event.
+    /// Deliver one routed message to the input port it names.
     #[inline]
-    pub(crate) fn deliver_event(&mut self, port: usize, ev: Event<P>) {
-        self.ports[port].push(&mut self.arena, ev);
-    }
-
-    /// Deliver a lookahead promise.
-    #[inline]
-    pub(crate) fn deliver_promise(&mut self, port: usize, ts: Timestamp) {
-        self.ports[port].advance_clock(ts);
-    }
-
-    /// Deliver the terminal NULL.
-    #[inline]
-    pub(crate) fn deliver_null(&mut self, port: usize) {
-        self.ports[port].push_null();
+    pub(crate) fn deliver(&mut self, ws: &mut Workspace<P>, msg: OutMsg<P>) {
+        match msg {
+            OutMsg::Event { port, ev, then, .. } => {
+                self.ports[port].push(&mut ws.arena, ev);
+                if then != 0 {
+                    self.ports[port].advance_clock(then);
+                }
+            }
+            OutMsg::Promise { port, ts, .. } => self.ports[port].advance_clock(ts),
+            OutMsg::Null { port, .. } => self.ports[port].push_null(),
+        }
     }
 
     /// Run one activation: handle every safe event (strictly below the
     /// local clock, ports merged with self-events in timestamp order,
     /// port events winning ties), then flush staged emissions and
     /// promises into `out`. Returns the number of events handled.
-    pub(crate) fn activate(&mut self, out: &mut Vec<OutMsg<P>>) -> u64 {
+    pub(crate) fn activate(&mut self, ws: &mut Workspace<P>, out: &mut Vec<OutMsg<P>>) -> u64 {
         if self.done {
             return 0;
         }
         if !self.started {
             self.started = true;
-            self.run_start();
+            self.run_start(ws);
         }
         let clock = local_clock(&self.ports);
         let mut handled = 0u64;
@@ -293,19 +296,18 @@ impl<P: Payload> CompCore<P> {
             };
             if take_self {
                 let s = self.self_heap.pop().expect("peeked");
-                let ev = self.arena.take(s.ev);
-                self.handle(EventSource::SelfTimer, s.at, ev.value);
+                let ev = ws.arena.take(s.ev);
+                self.handle(ws, EventSource::SelfTimer, s.at, ev.value);
             } else {
                 let (i, h) = port_pick.expect("picked");
-                let ev = self.ports[i].pop_ready(&mut self.arena, h).expect("peeked");
-                self.handle(EventSource::Port(i), ev.time, ev.value);
+                let ev = self.ports[i].pop_ready(&mut ws.arena, h).expect("peeked");
+                self.handle(ws, EventSource::Port(i), ev.time, ev.value);
             }
             handled += 1;
         }
         self.flush(clock, out);
         if clock == NULL_TS {
             debug_assert!(self.self_heap.is_empty(), "self-events past exhaustion");
-            debug_assert_eq!(self.arena.live(), 0, "undrained events leaked in the arena");
             self.done = true;
         }
         handled
@@ -317,54 +319,39 @@ impl<P: Payload> CompCore<P> {
         self.comp.observables(out);
     }
 
-    fn run_start(&mut self) {
-        let mut sent = std::mem::take(&mut self.sent_buf);
-        let mut selfs = std::mem::take(&mut self.self_buf);
-        let mut dropped = 0u64;
-        {
-            let mut ctx = Ctx {
-                now: 0,
-                horizon: self.horizon,
-                rng: &mut self.rng,
-                lookaheads: &self.lookaheads,
-                sent: &mut sent,
-                self_sched: &mut selfs,
-                dropped: &mut dropped,
-            };
-            self.comp.on_start(&mut ctx);
-        }
-        self.dropped += dropped;
-        self.absorb(&mut sent, &mut selfs);
-        self.sent_buf = sent;
-        self.self_buf = selfs;
+    fn run_start(&mut self, ws: &mut Workspace<P>) {
+        self.call(ws, 0, |comp, ctx| comp.on_start(ctx));
     }
 
-    fn handle(&mut self, source: EventSource, ts: Timestamp, payload: P) {
-        self.fold_checksum(source, ts, &payload);
-        let mut sent = std::mem::take(&mut self.sent_buf);
-        let mut selfs = std::mem::take(&mut self.self_buf);
-        let mut dropped = 0u64;
-        {
-            let mut ctx = Ctx {
-                now: ts,
-                horizon: self.horizon,
-                rng: &mut self.rng,
-                lookaheads: &self.lookaheads,
-                sent: &mut sent,
-                self_sched: &mut selfs,
-                dropped: &mut dropped,
-            };
-            self.comp.on_event(source, payload, &mut ctx);
-        }
-        self.dropped += dropped;
+    fn handle(&mut self, ws: &mut Workspace<P>, source: EventSource, ts: Timestamp, payload: P) {
+        self.fold_checksum(&mut ws.enc, source, ts, &payload);
+        self.call(ws, ts, |comp, ctx| comp.on_event(source, payload, ctx));
         self.delivered += 1;
-        self.absorb(&mut sent, &mut selfs);
-        self.sent_buf = sent;
-        self.self_buf = selfs;
     }
 
-    fn absorb(&mut self, sent: &mut Vec<(usize, Timestamp, P)>, selfs: &mut Vec<(Timestamp, P)>) {
-        for (link, ts, payload) in sent.drain(..) {
+    /// Run one handler at `now`, then stage its sends and queue its
+    /// self-events.
+    fn call(
+        &mut self,
+        ws: &mut Workspace<P>,
+        now: Timestamp,
+        f: impl FnOnce(&mut dyn Component<P>, &mut Ctx<'_, P>),
+    ) {
+        let mut dropped = 0u64;
+        {
+            let mut ctx = Ctx {
+                now,
+                horizon: self.horizon,
+                rng: &mut self.rng,
+                lookaheads: &self.lookaheads,
+                sent: &mut ws.sent,
+                self_sched: &mut ws.selfs,
+                dropped: &mut dropped,
+            };
+            f(&mut *self.comp, &mut ctx);
+        }
+        self.dropped += dropped;
+        for (link, ts, payload) in ws.sent.drain(..) {
             self.staged_seq += 1;
             self.staged[link].push(Staged {
                 ts,
@@ -372,9 +359,9 @@ impl<P: Payload> CompCore<P> {
                 payload,
             });
         }
-        for (at, payload) in selfs.drain(..) {
+        for (at, payload) in ws.selfs.drain(..) {
             self.self_seq += 1;
-            let ev = self.arena.alloc(Event::new(at, payload));
+            let ev = ws.arena.alloc(Event::new(at, payload));
             self.self_heap.push(SelfEv {
                 at,
                 seq: self.self_seq,
@@ -400,6 +387,7 @@ impl<P: Payload> CompCore<P> {
             } else {
                 clock.saturating_add(lookahead)
             };
+            let mut released = false;
             loop {
                 let ready = match self.staged[ix].peek() {
                     Some(top) => limit == NULL_TS || top.ts <= limit,
@@ -413,35 +401,48 @@ impl<P: Payload> CompCore<P> {
                     dst,
                     port,
                     ev: Event::new(s.ts, s.payload),
+                    then: 0,
                 });
+                released = true;
             }
             if limit == NULL_TS || limit >= self.horizon {
                 out.push(OutMsg::Null { dst, port });
                 self.promised[ix] = NULL_TS;
             } else if limit > self.promised[ix] {
-                out.push(OutMsg::Promise {
-                    dst,
-                    port,
-                    ts: limit,
-                });
+                match out.last_mut() {
+                    // The last message out is this link's last event:
+                    // the promise rides on it.
+                    Some(OutMsg::Event { then, .. }) if released => *then = limit,
+                    _ => out.push(OutMsg::Promise {
+                        dst,
+                        port,
+                        ts: limit,
+                    }),
+                }
                 self.promised[ix] = limit;
             }
         }
     }
 
-    fn fold_checksum(&mut self, source: EventSource, ts: Timestamp, payload: &P) {
-        self.enc_buf.clear();
-        self.enc_buf.extend_from_slice(&ts.to_le_bytes());
+    fn fold_checksum(
+        &mut self,
+        enc: &mut Vec<u8>,
+        source: EventSource,
+        ts: Timestamp,
+        payload: &P,
+    ) {
+        enc.clear();
+        enc.extend_from_slice(&ts.to_le_bytes());
         match source {
             EventSource::Port(p) => {
-                self.enc_buf.push(0);
-                self.enc_buf.extend_from_slice(&(p as u64).to_le_bytes());
+                enc.push(0);
+                enc.extend_from_slice(&(p as u64).to_le_bytes());
             }
-            EventSource::SelfTimer => self.enc_buf.push(1),
+            EventSource::SelfTimer => enc.push(1),
         }
-        payload.encode(&mut self.enc_buf);
+        payload.encode(enc);
         let mut h = self.checksum;
-        for &b in &self.enc_buf {
+        for &b in enc.iter() {
             h ^= b as u64;
             h = h.wrapping_mul(FNV_PRIME);
         }
@@ -482,57 +483,125 @@ mod tests {
             7,
             100,
             in_count,
-            &[],
+            Vec::new(),
         )
+    }
+
+    fn event(port: usize, ts: Timestamp, v: u64) -> OutMsg<u64> {
+        OutMsg::Event {
+            dst: 0,
+            port,
+            ev: Event::new(ts, v),
+            then: 0,
+        }
+    }
+
+    fn promise(port: usize, ts: Timestamp) -> OutMsg<u64> {
+        OutMsg::Promise { dst: 0, port, ts }
+    }
+
+    fn null(port: usize) -> OutMsg<u64> {
+        OutMsg::Null { dst: 0, port }
     }
 
     #[test]
     fn strict_safety_holds_events_at_the_clock() {
+        let mut ws = Workspace::new();
         let mut c = core(1);
         let mut out = Vec::new();
-        c.deliver_event(0, Event::new(5, 1));
+        c.deliver(&mut ws, event(0, 5, 1));
         // Clock is 5: the event at 5 is NOT yet safe.
-        assert_eq!(c.activate(&mut out), 0);
+        assert_eq!(c.activate(&mut ws, &mut out), 0);
         // A promise of 6 moves the clock past it.
-        c.deliver_promise(0, 6);
-        assert_eq!(c.activate(&mut out), 1);
+        c.deliver(&mut ws, promise(0, 6));
+        assert_eq!(c.activate(&mut ws, &mut out), 1);
         assert_eq!(c.delivered, 1);
+        assert_eq!(ws.arena.live(), 0);
     }
 
     #[test]
     fn exhausted_ports_drain_everything_and_finish() {
+        let mut ws = Workspace::new();
         let mut c = core(2);
         let mut out = Vec::new();
-        c.deliver_event(0, Event::new(9, 1));
-        c.deliver_null(0);
-        assert_eq!(c.activate(&mut out), 0); // port 1 clock still 0
-        c.deliver_null(1);
-        assert_eq!(c.activate(&mut out), 1);
+        c.deliver(&mut ws, event(0, 9, 1));
+        c.deliver(&mut ws, null(0));
+        assert_eq!(c.activate(&mut ws, &mut out), 0); // port 1 clock still 0
+        c.deliver(&mut ws, null(1));
+        assert_eq!(c.activate(&mut ws, &mut out), 1);
         assert!(c.is_done());
+        assert_eq!(ws.arena.live(), 0);
     }
 
     #[test]
     fn checksum_tracks_event_stream() {
         let run = |promise_first: bool| {
+            let mut ws = Workspace::new();
             let mut c = core(1);
             let mut out = Vec::new();
             if promise_first {
-                c.deliver_promise(0, 3);
-                c.activate(&mut out);
+                c.deliver(&mut ws, promise(0, 3));
+                c.activate(&mut ws, &mut out);
             }
-            c.deliver_event(0, Event::new(4, 7));
-            c.deliver_null(0);
-            c.activate(&mut out);
+            c.deliver(&mut ws, event(0, 4, 7));
+            c.deliver(&mut ws, null(0));
+            c.activate(&mut ws, &mut out);
             c.checksum
         };
         // Activation boundaries don't change the checksum…
         assert_eq!(run(false), run(true));
         // …but a different event stream does.
+        let mut ws = Workspace::new();
         let mut c = core(1);
         let mut out = Vec::new();
-        c.deliver_event(0, Event::new(4, 8));
-        c.deliver_null(0);
-        c.activate(&mut out);
+        c.deliver(&mut ws, event(0, 4, 8));
+        c.deliver(&mut ws, null(0));
+        c.activate(&mut ws, &mut out);
         assert_ne!(c.checksum, run(false));
+    }
+
+    /// Sends one event per listed delay on out link 0 at start-up.
+    struct Burst(Vec<u64>);
+    impl Component<u64> for Burst {
+        fn on_start(&mut self, ctx: &mut Ctx<'_, u64>) {
+            for &d in &self.0 {
+                ctx.send(0, d, d);
+            }
+        }
+        fn on_event(&mut self, _s: EventSource, _p: u64, _ctx: &mut Ctx<'_, u64>) {}
+    }
+
+    #[test]
+    fn the_promise_rides_on_the_last_released_event() {
+        let mut ws = Workspace::new();
+        let link = OutLink {
+            dst: 0,
+            dst_port: 0,
+            lookahead: 5,
+        };
+        let mut sender = CompCore::new(1, Box::new(Burst(vec![7, 5])), 7, 100, 1, vec![link]);
+        let mut receiver = core(1);
+        let mut out = Vec::new();
+        // Clock 10, so the flush releases everything up to 15: both
+        // staged events, in timestamp order, and the promise grows 0 → 15.
+        sender.deliver(&mut ws, promise(0, 10));
+        sender.activate(&mut ws, &mut out);
+        let sent: Vec<(Timestamp, Timestamp)> = out
+            .iter()
+            .map(|m| match m {
+                OutMsg::Event { ev, then, .. } => (ev.time, *then),
+                _ => panic!("a separate promise or NULL left with the events"),
+            })
+            .collect();
+        assert_eq!(sent, vec![(5, 0), (7, 15)]);
+        for msg in out.drain(..) {
+            receiver.deliver(&mut ws, msg);
+        }
+        assert_eq!(receiver.ports[0].last_ts(), 15);
+        assert_eq!(receiver.ports[0].len(), 2);
+        // Nothing staged: a grown promise still leaves on its own.
+        sender.deliver(&mut ws, promise(0, 12));
+        sender.activate(&mut ws, &mut out);
+        assert!(matches!(out[..], [OutMsg::Promise { ts: 17, .. }]));
     }
 }

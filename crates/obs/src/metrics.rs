@@ -18,8 +18,8 @@ use std::sync::Arc;
 pub const NUM_BUCKETS: usize = 65;
 
 /// Well-known metric name: live events in an execution context's event
-/// arena (gauge, labelled by thread). One slab per shard/actor/component
-/// — the fleet-wide sum is the in-flight event population.
+/// arena (gauge, labelled by thread). One slab per shard thread/actor/model
+/// executor thread — the fleet-wide sum is the in-flight event population.
 pub const ARENA_LIVE: &str = "sim_arena_live";
 
 /// Well-known metric name: high-water arena occupancy (gauge). The

@@ -207,16 +207,28 @@ struct InboxState<M> {
     parked: bool,
 }
 
+/// A value alone on a 128-byte line: no other field shares the pair of
+/// 64-byte cache lines an adjacent-line prefetcher moves together.
+#[repr(align(128))]
+struct OwnLine<T>(T);
+
+/// One shard's inbox. `repr(C)` fixes the layout: `taken` first, on its
+/// own line, and everything peers touch after it. The owner stores
+/// `taken` on every message it consumes; on a line shared with `alive`,
+/// which every peer reads on every `try_send`, each of those stores
+/// would pull the line away from the peers. Aligning the whole inbox to
+/// 128 keeps neighbouring inboxes apart the same way.
+#[repr(C, align(128))]
 struct Inbox<M> {
+    /// Messages the owner has taken but not yet consumed (its local
+    /// remainder of the last take); the other half of the depth.
+    taken: OwnLine<AtomicUsize>,
     state: Mutex<InboxState<M>>,
     not_empty: Condvar,
     /// `state.queue.len()`, stored under the lock and read without it:
     /// by the owner, to skip the lock while nothing is published, and by
     /// depth probes.
     published: AtomicUsize,
-    /// Messages the owner has taken but not yet consumed (its local
-    /// remainder of the last take); the other half of the depth.
-    taken: AtomicUsize,
     /// Live mailboxes of *other* shards.
     senders: AtomicUsize,
     /// False once the owning mailbox is dropped.
@@ -231,7 +243,7 @@ impl<M> Inbox<M> {
     }
 
     fn depth(&self) -> usize {
-        self.published.load(Ordering::Relaxed) + self.taken.load(Ordering::Relaxed)
+        self.published.load(Ordering::Relaxed) + self.taken.0.load(Ordering::Relaxed)
     }
 }
 
@@ -277,13 +289,13 @@ pub fn fabric<M>(num_shards: usize, capacity: usize) -> (Vec<Mailbox<M>>, DepthP
     let shared = Arc::new(Shared {
         inboxes: (0..num_shards)
             .map(|_| Inbox {
+                taken: OwnLine(AtomicUsize::new(0)),
                 state: Mutex::new(InboxState {
                     queue: VecDeque::with_capacity(capacity),
                     parked: false,
                 }),
                 not_empty: Condvar::new(),
                 published: AtomicUsize::new(0),
-                taken: AtomicUsize::new(0),
                 senders: AtomicUsize::new(num_shards - 1),
                 alive: AtomicBool::new(true),
             })
@@ -444,7 +456,7 @@ impl<M> Mailbox<M> {
     fn take(taken: &mut VecDeque<M>, inbox: &Inbox<M>, mut st: MutexGuard<'_, InboxState<M>>) {
         debug_assert!(taken.is_empty());
         std::mem::swap(taken, &mut st.queue);
-        inbox.taken.store(taken.len(), Ordering::Relaxed);
+        inbox.taken.0.store(taken.len(), Ordering::Relaxed);
         inbox.published.store(0, Ordering::Release);
     }
 
@@ -452,6 +464,7 @@ impl<M> Mailbox<M> {
         let msg = self.taken.pop_front()?;
         self.shared.inboxes[self.shard]
             .taken
+            .0
             .store(self.taken.len(), Ordering::Relaxed);
         Some(msg)
     }
@@ -588,6 +601,30 @@ mod tests {
         eps[0].txs[1].try_send(msg).unwrap();
         eps[0].txs[1].try_send(msg).unwrap();
         assert!(eps[0].txs[1].try_send(msg).is_err());
+    }
+
+    #[test]
+    fn the_owner_written_depth_has_a_line_of_its_own() {
+        use std::mem::{align_of, offset_of, size_of};
+        type I = Inbox<u64>;
+        assert!(align_of::<I>() >= 128, "neighbouring inboxes share a line");
+        let taken = offset_of!(I, taken);
+        assert!(size_of::<OwnLine<AtomicUsize>>() >= 128);
+        for (field, at) in [
+            ("alive", offset_of!(I, alive)),
+            ("senders", offset_of!(I, senders)),
+            ("published", offset_of!(I, published)),
+        ] {
+            assert!(
+                at.abs_diff(taken) >= 64,
+                "{field} at {at} is within a line of taken at {taken}"
+            );
+            assert_ne!(
+                at / 128,
+                taken / 128,
+                "{field} shares taken's 128-byte line"
+            );
+        }
     }
 
     #[test]

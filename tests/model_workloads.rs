@@ -299,3 +299,153 @@ fn seq_engine_honours_fault_plans_too() {
     let err = try_run("model-seq", &cfg, mmc_graph(1)).expect_err("injected fault must surface");
     assert!(matches!(err, SimError::TaskPanicked { node: None, .. }));
 }
+
+#[test]
+fn promises_ride_on_events_on_the_phold_cut_graph() {
+    // The repository benchmark's `phold-cut` graph on the sequential
+    // engine, whose message count is deterministic. With every promise
+    // sent as a message of its own, this run routed 155 333 messages; a
+    // promise that leaves in the same flush as an event on its link now
+    // rides on that event. The event stream itself must not change.
+    const SEPARATE_PROMISES: u64 = 155_333;
+    let cfg = PholdConfig {
+        lps: 1024,
+        population: 8,
+        lookahead: 4,
+        remote_fraction: 0.5,
+        mean_delay: 10.0,
+    };
+    let out = run_seq(phold::build(cfg, 12345, 200));
+    assert_eq!(out.checksum, 0xca7b_6b16_e2fd_dc5d, "event stream changed");
+    assert_eq!(out.stats.events_delivered, 114_280);
+    assert!(
+        out.stats.msgs_routed * 10 <= SEPARATE_PROMISES * 8,
+        "{} messages routed, more than 0.8x of {SEPARATE_PROMISES}",
+        out.stats.msgs_routed
+    );
+}
+
+/// Sends one event on every out link at start-up, stamped with its
+/// sender and out-link index, and reports what arrived on each port.
+struct Stamp {
+    id: u64,
+    got: std::collections::BTreeMap<usize, u64>,
+}
+
+impl Component<u64> for Stamp {
+    fn on_start(&mut self, ctx: &mut Ctx<'_, u64>) {
+        for link in 0..ctx.num_links() {
+            let delay = ctx.lookahead(link);
+            ctx.send(link, delay, (self.id << 8) | link as u64);
+        }
+    }
+    fn on_event(&mut self, src: EventSource, stamp: u64, _ctx: &mut Ctx<'_, u64>) {
+        let EventSource::Port(port) = src else {
+            panic!("no self-events scheduled")
+        };
+        assert!(
+            self.got.insert(port, stamp).is_none(),
+            "port {port} got two events"
+        );
+    }
+    fn observables(&self, out: &mut Vec<(String, u64)>) {
+        for (port, stamp) in &self.got {
+            out.push((format!("port{port}"), *stamp));
+        }
+    }
+}
+
+#[test]
+fn interleaved_link_declarations_keep_their_indices_and_ports() {
+    let build = || {
+        let mut g = ModelGraph::new(9, 100);
+        for id in 0..4 {
+            g.add(
+                format!("n{id}"),
+                Stamp {
+                    id,
+                    got: Default::default(),
+                },
+            );
+        }
+        // Sources interleaved and out of id order, mixed lookahead.
+        let declared = [
+            (3, 1, 2),
+            (0, 2, 1),
+            (3, 0, 3),
+            (1, 2, 2),
+            (0, 1, 4),
+            (2, 3, 1),
+            (3, 2, 1),
+            (2, 0, 2),
+        ];
+        let out_ix: Vec<usize> = declared
+            .iter()
+            .map(|&(s, d, la)| g.link(s, d, la))
+            .collect();
+        assert_eq!(out_ix, vec![0, 0, 1, 0, 1, 0, 2, 1]);
+        g
+    };
+    let g = build();
+    let mut expected: Vec<(usize, usize, u64)> = g
+        .links()
+        .iter()
+        .map(|l| (l.dst, l.dst_port, ((l.src as u64) << 8) | l.out_ix as u64))
+        .collect();
+    expected.sort();
+    let expected: Vec<(String, u64)> = expected
+        .into_iter()
+        .map(|(dst, port, stamp)| (format!("n{dst}.port{port}"), stamp))
+        .collect();
+    let reference = run_seq(g);
+    assert_eq!(
+        reference.observables, expected,
+        "a send reached the wrong port"
+    );
+    for strategy in [
+        des::PartitionStrategy::default(),
+        des::PartitionStrategy::RoundRobin,
+    ] {
+        for k in [2, 3] {
+            let cfg = EngineConfig::new().with_shards(k).with_strategy(strategy);
+            let out = model::run("model-sharded", &cfg, build());
+            reference.assert_equivalent(&out);
+        }
+    }
+}
+
+#[test]
+fn sharded_run_publishes_sweeps_and_idle_time_per_shard() {
+    let recorder = des::Recorder::new(&des::ObsConfig::enabled());
+    let cfg = EngineConfig::new()
+        .with_shards(2)
+        .with_strategy(des::PartitionStrategy::RoundRobin)
+        .with_recorder(recorder.clone());
+    model::run("model-sharded", &cfg, phold_graph(5));
+    let wall = recorder
+        .gauge_values()
+        .into_iter()
+        .find(|(name, _, _)| name == "sim_model_run_wall_ns")
+        .map(|(_, _, v)| v)
+        .expect("run wall gauge");
+    let counters = recorder.counter_values();
+    for shard in 0..2 {
+        let labels = format!("{{engine=\"model-sharded\",shard=\"{shard}\"}}");
+        let value = |metric: &str| {
+            counters
+                .iter()
+                .find(|(name, l, _)| name == metric && *l == labels)
+                .map(|(_, _, v)| *v)
+                .unwrap_or_else(|| panic!("{metric}{labels} not published"))
+        };
+        assert!(
+            value("sim_model_sweeps_total") >= 1,
+            "shard {shard} never swept"
+        );
+        let idle = value("sim_model_idle_ns_total");
+        assert!(
+            idle <= wall,
+            "shard {shard} idle {idle} ns > run wall {wall} ns"
+        );
+    }
+}
