@@ -4,8 +4,8 @@
 //! per-port `VecDeque`s: each cross-port move was a copy, and the deques
 //! themselves grew and shrank on whatever thread happened to touch them.
 //! [`EventArena`] replaces that with one slab per execution context (a
-//! circuit shard thread, an actor, a model engine's loop or shard
-//! thread; every node or component the context runs shares it): events
+//! circuit shard thread, a model engine's loop or shard thread; every
+//! node or component the context runs shares it): events
 //! live in a contiguous slot vector allocated on the owning thread
 //! (first touch pins the pages to that thread's NUMA node when the
 //! thread itself is pinned), queues hold 8-byte [`EventRef`] handles,
@@ -49,7 +49,7 @@ struct Slot<V> {
 }
 
 /// A slab of in-flight events with free-list reuse and generational
-/// handles. One arena per execution context (shard thread, actor, model
+/// handles. One arena per execution context (shard thread, model
 /// executor thread), shared by every node or component it runs — never
 /// shared across threads, so no interior mutability and no contention.
 #[derive(Debug, Clone)]

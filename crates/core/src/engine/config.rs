@@ -27,7 +27,6 @@ use fault::{FaultPlan, RunPolicy};
 use obs::{ObsConfig, Recorder};
 use shard::{PartitionStrategy, RebalancePolicy};
 
-use crate::engine::actor::ActorEngine;
 use crate::engine::checkpoint::CheckpointConfig;
 use crate::engine::dist::TcpShardedEngine;
 use crate::engine::hj::HjEngine;
@@ -39,11 +38,10 @@ use crate::engine::timewarp::TimeWarpEngine;
 use crate::engine::Engine;
 
 /// Every engine name [`build`] accepts, in reporting order.
-pub const ENGINE_NAMES: [&str; 7] = [
+pub const ENGINE_NAMES: [&str; 6] = [
     "seq-workset",
     "seq-heap",
     "hj",
-    "actor",
     "timewarp",
     "sharded",
     "tcp-sharded",
@@ -99,7 +97,7 @@ impl EngineConfig {
     }
 
     /// Worker threads for the shared-memory parallel engines
-    /// (`hj`, `actor`, `timewarp`).
+    /// (`hj`, `timewarp`).
     pub fn with_workers(mut self, workers: usize) -> Self {
         assert!(workers >= 1);
         self.workers = workers;
@@ -330,7 +328,6 @@ pub fn try_build(name: &str, cfg: &EngineConfig) -> Result<Box<dyn Engine>, Stri
         "seq-workset" => Ok(Box::new(SeqWorksetEngine::from_config(cfg))),
         "seq-heap" => Ok(Box::new(SeqHeapEngine::from_config(cfg))),
         "hj" => Ok(Box::new(HjEngine::from_config(cfg))),
-        "actor" => Ok(Box::new(ActorEngine::from_config(cfg))),
         "timewarp" => Ok(Box::new(TimeWarpEngine::from_config(cfg))),
         "sharded" => Ok(Box::new(ShardedEngine::from_config(cfg))),
         "tcp-sharded" => Ok(Box::new(TcpShardedEngine::from_config(cfg))),

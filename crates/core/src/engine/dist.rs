@@ -20,15 +20,16 @@
 //! its sockets?", answered by a two-step protocol on the control plane:
 //!
 //! 1. **Workers → coordinator**: when all local shards finish cleanly, a
-//!    worker sends each shard's encoded outcome ([`Frame::Outcome`])
-//!    followed by [`Frame::Done`], then parks waiting for shutdown. As a
+//!    worker sends each shard's encoded outcome
+//!    ([`net::wire::Frame::Outcome`]) followed by
+//!    [`net::wire::Frame::Done`], then parks waiting for shutdown. As a
 //!    cross-check it first verifies the per-peer terminal-NULL counters
 //!    against the expected cut-edge counts — a mismatch means the
 //!    protocol itself is broken and is reported as an invariant error,
 //!    not silently ignored.
 //! 2. **Coordinator → workers**: rank 0 collects every outcome and every
-//!    `Done`, broadcasts [`Frame::Shutdown`] (raising its own teardown
-//!    flag first so the resulting EOFs are expected), merges the
+//!    `Done`, broadcasts [`net::wire::Frame::Shutdown`] (raising its own
+//!    teardown flag first so the resulting EOFs are expected), merges the
 //!    outcomes exactly as the single-process engine merges its shard
 //!    results, and returns the [`SimOutput`].
 //!

@@ -9,8 +9,6 @@
 //!   simulator; the simplest possible reference oracle.
 //! * [`hj::HjEngine`] — Algorithm 2: the parallel HJlib implementation
 //!   with the §4.5 optimizations (each individually toggleable).
-//! * [`actor::ActorEngine`] — the paper's §6 future-work proposal: one
-//!   actor per node on the HJ actor layer.
 //! * [`timewarp::TimeWarpEngine`] — the optimistic family of §2.1
 //!   (Jefferson's Time Warp): speculative execution with rollback and
 //!   anti-messages.
@@ -22,7 +20,6 @@
 //! * `galois-rt`'s `GaloisEngine` — the optimistic baseline (separate
 //!   crate; implements the same [`Engine`] trait).
 
-pub mod actor;
 pub mod checkpoint;
 pub mod config;
 pub mod dist;

@@ -66,7 +66,7 @@
 //!    *same* plan and no plan broadcast is needed.
 //! 4. If the plan moves nodes, donors park the complete per-node state
 //!    (port queues, latch, waveform, `null_sent`) on a shared
-//!    [`MigrationBus`], apply the plan to their partition copy, and
+//!    `MigrationBus`, apply the plan to their partition copy, and
 //!    exchange [`ShardMsg::Transferred`]; nobody resumes until every
 //!    active shard has both parked its donations and updated its
 //!    routing. Payload arriving during that window is buffered and

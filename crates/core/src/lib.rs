@@ -8,7 +8,6 @@
 //! * [`engine::hj::HjEngine`] — Algorithm 2: parallel async/finish tasks +
 //!   fine-grained trylock locks, with the §4.5 optimizations toggleable
 //!   via [`engine::hj::HjEngineConfig`];
-//! * [`engine::actor::ActorEngine`] — the §6 future-work actor version;
 //! * [`engine::sharded::ShardedEngine`] — partitioned conservative
 //!   simulation: the `sim-shard` crate splits the netlist into K shards,
 //!   each running a sequential Chandy–Misra core on its own thread, with

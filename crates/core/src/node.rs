@@ -13,7 +13,7 @@
 //!
 //! Storage is arena-backed: a queue holds `(timestamp, EventRef)` pairs
 //! while the events themselves live in the caller's [`EventArena`]
-//! (one per shard thread/actor/model executor thread). The representation
+//! (one per shard thread/model executor thread). The representation
 //! is sealed — every mutation goes through [`PortQueue::push`] /
 //! [`PortQueue::pop_ready`] / [`PortQueue::drain_batch`] and friends, so
 //! the arena layout can change without touching any engine. Timestamps

@@ -29,6 +29,6 @@ mod watchdog;
 
 pub use ctl::RunCtl;
 pub use error::{LinkDirection, LinkSnapshot, NullWaitEntry, SimError, StallSnapshot, WorkerSnapshot};
-pub use plan::{FaultKind, FaultPlan, InjectionCounts};
+pub use plan::{splitmix64, FaultKind, FaultPlan, InjectionCounts};
 pub use policy::{RunPolicy, DEFAULT_WATCHDOG};
 pub use watchdog::Watchdog;

@@ -111,7 +111,9 @@ impl Default for FaultPlan {
     }
 }
 
-fn splitmix64(x: u64) -> u64 {
+/// SplitMix64 mixing step: the workspace's one stateless 64-bit hash,
+/// used wherever a decision must be a pure function of a seed.
+pub fn splitmix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -425,6 +427,12 @@ impl FaultPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn splitmix64_matches_reference_values() {
+        assert_eq!(splitmix64(0), 0xe220_a839_7b1d_cdaf);
+        assert_eq!(splitmix64(1), 0x910a_2dec_8902_5cc1);
+    }
 
     #[test]
     fn inactive_plan_injects_nothing() {

@@ -8,20 +8,14 @@
 //!   scheduler ([`HjRuntime::finish`], [`Scope::spawn`]). A `finish` scope is
 //!   a generalized join: it returns only after every task transitively
 //!   spawned inside it has completed.
-//! * **isolated** — weak isolation: global mutual exclusion
-//!   ([`HjRuntime::isolated`]) and object-keyed mutual exclusion
-//!   ([`IsolatedRegistry`]).
 //! * **fine-grained locking extension** (paper §3.2) — [`LockRegistry`] with
 //!   `TRYLOCK(var)` / `RELEASEALLLOCKS()` semantics: compare-and-swap
 //!   `AtomicBool` locks that are *never* blocked on, preserving Habanero's
 //!   deadlock-freedom guarantee. Ascending-ID acquisition order
 //!   ([`Locker::try_lock_all`]) provides the paper's livelock
 //!   avoidance.
-//! * **forasync/forall** ([`mod@forasync`]) — HJlib parallel loops.
-//! * **futures** ([`future::HjFuture`]), **phasers** ([`phaser::Phaser`]) and
-//!   **actors** ([`actor`]) — the additional HJlib constructs the paper
-//!   mentions (§3.2, §6); the actor model is the paper's stated future-work
-//!   direction for DES and is exercised by `des-core`'s `ActorEngine`.
+//!
+//! These are the only HJlib constructs the paper's algorithms use.
 //!
 //! The scheduler follows the classic Habanero/Cilk design: one worker thread
 //! per core, a per-worker [`crossbeam_deque::Worker`] deque (LIFO pops, FIFO
@@ -47,32 +41,20 @@
 //! assert_eq!(counter.load(Ordering::Relaxed), 100);
 //! ```
 
-pub mod actor;
-pub mod forasync;
-pub mod future;
-pub mod isolated;
 pub mod locks;
 pub mod metrics;
-pub mod phaser;
 pub mod runtime;
-pub mod scheduler;
+mod scheduler;
 pub mod scope;
 
-pub use forasync::{forall, forall_chunked, forasync, forasync_chunked};
-pub use isolated::IsolatedRegistry;
 pub use locks::{LockId, LockRegistry, Locker};
 pub use metrics::{Metrics, MetricsSnapshot};
-pub use runtime::{HjConfig, HjRuntime, SchedulerObservation};
+pub use runtime::{HjRuntime, SchedulerObservation};
 pub use scope::Scope;
 
 /// Commonly used items.
 pub mod prelude {
-    pub use crate::actor::{Actor, ActorContext, ActorRef, ActorSystem};
-    pub use crate::forasync::{forall, forall_chunked, forasync, forasync_chunked};
-    pub use crate::future::HjFuture;
-    pub use crate::isolated::IsolatedRegistry;
     pub use crate::locks::{LockId, LockRegistry, Locker};
-    pub use crate::phaser::{Phaser, PhaserMode};
-    pub use crate::runtime::{HjConfig, HjRuntime};
+    pub use crate::runtime::HjRuntime;
     pub use crate::scope::Scope;
 }

@@ -10,33 +10,8 @@ use crate::metrics::MetricsSnapshot;
 use crate::scheduler::{build_pool, Shared};
 use crate::scope::Scope;
 
-/// Configuration for an [`HjRuntime`].
-#[derive(Debug, Clone)]
-pub struct HjConfig {
-    /// Number of worker threads (HJlib's "number of workers").
-    pub workers: usize,
-    /// Name prefix for worker threads.
-    pub thread_name: String,
-}
-
-impl HjConfig {
-    /// `workers` worker threads with default naming.
-    pub fn with_workers(workers: usize) -> Self {
-        HjConfig {
-            workers,
-            thread_name: "hj-worker".to_string(),
-        }
-    }
-}
-
-impl Default for HjConfig {
-    fn default() -> Self {
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        HjConfig::with_workers(workers)
-    }
-}
+/// Name prefix for worker threads (`hj-worker-0`, `hj-worker-1`, ...).
+const THREAD_NAME: &str = "hj-worker";
 
 /// A racy, best-effort observation of the scheduler's queues, taken by
 /// [`HjRuntime::observe_scheduler`]. Intended for diagnostics (watchdog
@@ -60,23 +35,15 @@ pub struct SchedulerObservation {
 pub struct HjRuntime {
     shared: Arc<Shared>,
     handles: Mutex<Vec<JoinHandle<()>>>,
-    /// Global `isolated` lock (weak isolation across *all* isolated blocks).
-    isolated_global: Mutex<()>,
 }
 
 impl HjRuntime {
     /// Create a runtime with `workers` worker threads.
     pub fn new(workers: usize) -> Self {
-        Self::with_config(HjConfig::with_workers(workers))
-    }
-
-    /// Create a runtime from an explicit configuration.
-    pub fn with_config(config: HjConfig) -> Self {
-        let (shared, handles) = build_pool(config.workers, &config.thread_name);
+        let (shared, handles) = build_pool(workers, THREAD_NAME);
         HjRuntime {
             shared,
             handles: Mutex::new(handles),
-            isolated_global: Mutex::new(()),
         }
     }
 
@@ -108,26 +75,6 @@ impl HjRuntime {
         }
     }
 
-    /// Run `f` in mutual exclusion with every other global `isolated` block
-    /// of this runtime (paper §3.2, the zero-variable form of `isolated`).
-    ///
-    /// Never call this while holding [`crate::LockRegistry`] locks from the
-    /// same code path in opposite order — the registry itself never blocks,
-    /// so lock-then-isolate is safe, but consistent ordering keeps intent
-    /// clear.
-    pub fn isolated<R>(&self, f: impl FnOnce() -> R) -> R {
-        let _guard = self.isolated_global.lock();
-        f()
-    }
-
-    /// Spawn a free-standing (`'static`) task outside any finish scope.
-    ///
-    /// Used by the actor layer; ordinary code should prefer
-    /// [`HjRuntime::finish`] + [`Scope::spawn`] so completion is awaited.
-    pub fn spawn_detached(&self, f: impl FnOnce() + Send + 'static) {
-        self.shared.spawn_job(Box::new(f));
-    }
-
     /// Snapshot of the runtime counters.
     pub fn metrics(&self) -> MetricsSnapshot {
         self.shared.metrics.snapshot()
@@ -142,10 +89,6 @@ impl HjRuntime {
             worker_queue_depths,
             sleeping_workers,
         }
-    }
-
-    pub(crate) fn shared(&self) -> &Arc<Shared> {
-        &self.shared
     }
 }
 
@@ -169,32 +112,6 @@ impl std::fmt::Debug for HjRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    #[test]
-    fn default_config_uses_available_parallelism() {
-        let cfg = HjConfig::default();
-        assert!(cfg.workers >= 1);
-    }
-
-    #[test]
-    fn isolated_is_mutually_exclusive() {
-        let rt = HjRuntime::new(4);
-        let counter = AtomicUsize::new(0);
-        let max_seen = AtomicUsize::new(0);
-        rt.finish(|scope| {
-            for _ in 0..200 {
-                scope.spawn(|| {
-                    rt.isolated(|| {
-                        let inside = counter.fetch_add(1, Ordering::SeqCst) + 1;
-                        max_seen.fetch_max(inside, Ordering::SeqCst);
-                        counter.fetch_sub(1, Ordering::SeqCst);
-                    });
-                });
-            }
-        });
-        assert_eq!(max_seen.load(Ordering::SeqCst), 1);
-    }
 
     #[test]
     fn metrics_count_spawned_tasks() {

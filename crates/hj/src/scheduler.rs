@@ -6,10 +6,6 @@
 //! from threads outside the pool. Idle workers park on a condition variable
 //! with a short timeout, so a missed notification costs at most one timeout
 //! period rather than a hang.
-//!
-//! This module is `pub` so that the scheduling machinery can be inspected by
-//! benchmarks, but the types it exposes are not part of the stable API
-//! surface; use [`crate::HjRuntime`] instead.
 
 use std::cell::Cell;
 use std::ptr;
@@ -220,22 +216,6 @@ impl WorkerCtx {
         }
         self.shared.steal_external(&self.local, self.index + 1)
     }
-}
-
-/// If the calling thread is a pool worker, try to find and run one job.
-/// Returns true if a job was executed.
-///
-/// Used by blocking constructs (futures, phasers) so that a worker thread
-/// waiting on a condition keeps the pool productive instead of stalling.
-pub(crate) fn try_help_one() -> bool {
-    WorkerCtx::with_current(|ctx| match ctx.find_job() {
-        Some(job) => {
-            ctx.shared.run_job(job);
-            true
-        }
-        None => false,
-    })
-    .unwrap_or(false)
 }
 
 struct CtxGuard;

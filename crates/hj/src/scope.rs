@@ -121,20 +121,6 @@ impl<'scope, 'env> Scope<'scope, 'env> {
         self.pool.spawn_job(job);
     }
 
-    /// Alias for [`Scope::spawn`] matching the paper's `async` statement.
-    pub fn async_task<F>(&'scope self, f: F)
-    where
-        F: FnOnce() + Send + 'scope,
-    {
-        self.spawn(f)
-    }
-
-    /// Number of tasks currently pending in this scope (racy; for tests and
-    /// diagnostics only).
-    pub fn pending_tasks(&self) -> usize {
-        self.inner.pending.load(Ordering::Relaxed)
-    }
-
     /// Block until the scope is quiescent. Worker threads help execute
     /// tasks; external threads wait on a condition variable.
     pub(crate) fn wait_quiescent(&self) {

@@ -126,44 +126,3 @@ fn runtime_survives_many_scope_generations() {
     assert_eq!(m.tasks_spawned, 500 * 16);
     assert_eq!(m.tasks_executed, 500 * 16);
 }
-
-#[test]
-fn futures_fan_in_under_load() {
-    let rt = Arc::new(HjRuntime::new(4));
-    let futures: Vec<HjFuture<u64>> = (0..200)
-        .map(|i| HjFuture::spawn(&rt, move || (i as u64) * 3))
-        .collect();
-    let total: u64 = futures.iter().map(|f| f.get()).sum();
-    assert_eq!(total, 3 * (199 * 200 / 2));
-}
-
-#[test]
-fn actors_under_task_pressure() {
-    // Actors and plain finish tasks share the pool without starvation.
-    let rt = HjRuntime::new(4);
-    let system = ActorSystem::new(&rt);
-    struct Acc(Arc<AtomicUsize>);
-    impl Actor for Acc {
-        type Msg = usize;
-        fn receive(&mut self, n: usize, _ctx: &ActorContext) {
-            self.0.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-    let sum = Arc::new(AtomicUsize::new(0));
-    let actor = system.spawn(Acc(Arc::clone(&sum)));
-    let finished_tasks = AtomicUsize::new(0);
-    rt.finish(|scope| {
-        let actor = &actor;
-        let finished_tasks = &finished_tasks;
-        for i in 0..1_000 {
-            scope.spawn(move || {
-                actor.send(i % 7);
-                finished_tasks.fetch_add(1, Ordering::Relaxed);
-            });
-        }
-    });
-    system.quiesce();
-    assert_eq!(finished_tasks.load(Ordering::Relaxed), 1_000);
-    let expected: usize = (0..1_000).map(|i| i % 7).sum();
-    assert_eq!(sum.load(Ordering::Relaxed), expected);
-}

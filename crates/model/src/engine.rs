@@ -1,5 +1,5 @@
 //! The two model engines: a sequential reference and a sharded
-//! conservative executor, both driving [`CompCore`] activations and
+//! conservative executor, both driving `CompCore` activations and
 //! both wired into the shared run machinery — [`des::EngineConfig`],
 //! [`des::RunPolicy`] fault injection, the no-progress watchdog, and
 //! the sim-obs recorder.

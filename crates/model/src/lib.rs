@@ -9,7 +9,7 @@
 //! become nodes, links become input ports backed by `des`'s generic
 //! [`des::node::PortQueue`], and lookahead feeds the NULL-promise
 //! protocol. Configuration ([`des::EngineConfig`]), fault semantics
-//! ([`fault::RunPolicy`]: injected panics surface as structured
+//! ([`des::RunPolicy`]: injected panics surface as structured
 //! [`des::SimError`]s, wedged runs trip the watchdog) and sim-obs
 //! probes all come along for free.
 //!

@@ -15,18 +15,13 @@
 
 use std::time::Duration;
 
+use fault::splitmix64;
+
 /// Default first-retry ceiling.
 pub const DEFAULT_BASE: Duration = Duration::from_millis(10);
 
 /// Default cap on any single retry delay.
 pub const DEFAULT_CAP: Duration = Duration::from_millis(500);
-
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// A deterministic per-link retry schedule.
 #[derive(Debug, Clone)]

@@ -155,7 +155,7 @@ pub enum Frame {
     Done { process: u64 },
     /// Coordinator → workers: every process is done, tear down.
     Shutdown,
-    /// Worker → coordinator: one shard's encoded [`ShardOutcome`] blob.
+    /// Worker → coordinator: one shard's encoded `ShardOutcome` blob.
     /// The blob format belongs to the engine layer; the wire treats it
     /// as opaque bytes.
     Outcome { shard: u64, blob: Vec<u8> },

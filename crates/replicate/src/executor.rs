@@ -18,7 +18,7 @@
 //! claimants park on the condvar of that same mutex, untimed: work
 //! appears only under the lock, so a wake-up cannot be lost.
 //!
-//! Every batch has its own [`Sink`]. The thread that finished a run
+//! Every batch has its own `Sink`. The thread that finished a run
 //! hands it the row, and the thread that retires a batch's last claimed
 //! run tells it how the batch ended; since each row is recorded before
 //! its run is retired, the end comes after every row. A run error

@@ -2,7 +2,7 @@
 //!
 //! Same shape as the sim-net shard fabric: a fixed header (own magic +
 //! version), varint-packed payload, CRC32 trailer (via
-//! [`crate::frame`]), and a mandatory `Hello` exchange before anything
+//! `crate::frame`), and a mandatory `Hello` exchange before anything
 //! else — a client or worker whose protocol digest or version differs
 //! is rejected at the first frame, never half-way into a job. The
 //! decoder is total: every malformed byte string maps to a

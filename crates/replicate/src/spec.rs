@@ -19,6 +19,8 @@ use model::phold::PholdConfig;
 use model::queueing::MmcSpec;
 use net::wire::{get_u8, get_uvarint, put_uvarint, WireError};
 
+pub use fault::splitmix64;
+
 /// Spec payload codec version (bumped on any layout change).
 pub const SPEC_VERSION: u8 = 1;
 
@@ -334,14 +336,6 @@ fn string_field(buf: &[u8], pos: &mut usize) -> Result<String, WireError> {
     let s = std::str::from_utf8(&buf[*pos..end]).map_err(|_| WireError::BadValue)?;
     *pos = end;
     Ok(s.to_string())
-}
-
-/// SplitMix64 mixing step (same generator family the kernel RNG uses).
-pub fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 #[cfg(test)]

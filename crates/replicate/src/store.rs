@@ -1,6 +1,6 @@
 //! The columnar run store: per-metric column chunks on disk.
 //!
-//! One file per job. Layout (all frames via [`crate::frame`], own
+//! One file per job. Layout (all frames via `crate::frame`, own
 //! magic so a store file can never be confused with a checkpoint or a
 //! protocol stream):
 //!

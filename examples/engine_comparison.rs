@@ -1,6 +1,6 @@
 //! Race every engine on the same workload — the paper's §5 comparison in
 //! miniature, extended with the engines the paper only references
-//! (global event list) or proposes (actors).
+//! (global event list, Time Warp) or adds beside it (sharded).
 //!
 //! ```sh
 //! cargo run --release --example engine_comparison [workers]
@@ -46,7 +46,6 @@ fn main() {
         Box::new(GaloisSeqEngine::new()),
         Box::new(HjEngine::with_config(Arc::clone(&rt), HjEngineConfig::default())),
         Box::new(GaloisEngine::new(workers)),
-        build("actor", &cfg),
         build("timewarp", &cfg),
         build("sharded", &sharded_cfg),
         // The sharded engine again, with epoch-barrier repartitioning

@@ -3,7 +3,6 @@
 
 use circuit::generators::{kogge_stone_adder, ripple_carry_adder, wallace_multiplier};
 use circuit::{Circuit, DelayModel, Logic, Stimulus};
-use des::engine::actor::ActorEngine;
 use des::engine::hj::HjEngine;
 use des::engine::seq::SeqWorksetEngine;
 use des::engine::seq_heap::SeqHeapEngine;
@@ -42,7 +41,6 @@ fn engines() -> Vec<Box<dyn Engine>> {
         Box::new(SeqHeapEngine::new()),
         Box::new(HjEngine::from_config(&EngineConfig::default().with_workers(2))),
         Box::new(GaloisEngine::new(2)),
-        Box::new(ActorEngine::from_config(&EngineConfig::default().with_workers(2))),
     ]
 }
 

@@ -30,7 +30,6 @@ fn all_engines(workers: usize) -> Vec<Box<dyn Engine>> {
         Box::new(GaloisSeqEngine::new()),
         Box::new(HjEngine::with_config(Arc::clone(&rt), HjEngineConfig::default())),
         Box::new(GaloisEngine::new(workers)),
-        build("actor", &cfg),
         build("timewarp", &cfg),
         // The sharded conservative engine, across shard counts and all
         // three partition strategies (K=1 degenerates to a sequential

@@ -1,4 +1,4 @@
-//! Integration tests for the sim-obs layer across all seven engines:
+//! Integration tests for the sim-obs layer across every engine:
 //! runs must be observably identical with tracing on and off, the
 //! published metrics must agree with the returned `SimStats`, the
 //! exporters must produce machine-valid output, and stall snapshots

@@ -5,7 +5,6 @@
 
 use circuit::generators::{random_layered, RandomCircuitConfig};
 use circuit::{Circuit, DelayModel, Logic, Stimulus, TimedValue};
-use des::engine::actor::ActorEngine;
 use des::engine::hj::HjEngine;
 use des::engine::seq::SeqWorksetEngine;
 use des::engine::seq_heap::SeqHeapEngine;
@@ -64,7 +63,6 @@ fn engines_agree_on_random_circuits() {
             Box::new(SeqHeapEngine::new()),
             Box::new(HjEngine::from_config(&EngineConfig::default().with_workers(2))),
             Box::new(GaloisEngine::new(2)),
-            Box::new(ActorEngine::from_config(&EngineConfig::default().with_workers(2))),
         ];
         for engine in engines {
             let out = engine.run(&circuit, &stimulus, &delays);

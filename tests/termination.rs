@@ -6,7 +6,6 @@ use std::sync::Arc;
 
 use circuit::generators::{c17, fanout_tree, inverter_chain, kogge_stone_adder};
 use circuit::{DelayModel, Logic, Stimulus, TimedValue};
-use des::engine::actor::ActorEngine;
 use des::engine::hj::{HjEngine, HjEngineConfig};
 use des::engine::seq::SeqWorksetEngine;
 use des::engine::{Engine, EngineConfig};
@@ -89,6 +88,5 @@ fn engines(workers: usize) -> Vec<Box<dyn Engine>> {
         Box::new(SeqWorksetEngine::new()),
         Box::new(HjEngine::from_config(&EngineConfig::default().with_workers(workers))),
         Box::new(GaloisEngine::new(workers)),
-        Box::new(ActorEngine::from_config(&EngineConfig::default().with_workers(workers))),
     ]
 }
