@@ -26,7 +26,6 @@
 //! watchdog_ms = 10000     # no-progress deadline (0 disables)
 //! connect_s = 30          # setup / termination deadline (seconds)
 //! pin = compact           # none | compact | spread | 0,2,4 (core list)
-//! arena = 4096            # pre-sized event-arena slots per shard (0 = grow)
 //! telemetry = on          # piggyback fleet telemetry on the wire (off)
 //! telemetry_ms = 100      # worker rank-report period (milliseconds)
 //! node = 127.0.0.1:7101   # rank 0 (coordinator)
@@ -72,15 +71,14 @@
 
 use std::net::TcpListener;
 use std::process::ExitCode;
-use std::sync::Arc;
 use std::time::Duration;
 
 use circuit::generators::{c17, kogge_stone_adder, wallace_multiplier};
 use circuit::{Circuit, DelayModel, Stimulus};
 use des::engine::seq::SeqWorksetEngine;
 use des::{
-    run_node, CheckpointConfig, DistConfig, Engine, FaultPlan, ObsConfig, PartitionStrategy,
-    PinPolicy, Recorder, SimOutput,
+    run_node, CheckpointConfig, DistConfig, Engine, EngineConfig, FaultPlan, ObsConfig,
+    PartitionStrategy, PinPolicy, Recorder, SimOutput,
 };
 use obs::prometheus::MetricsServer;
 
@@ -112,7 +110,6 @@ fn parse_config(path: &str, process: usize, restore: bool) -> Result<NodeConfig,
     let mut kill_rank: Option<u64> = None;
     let mut kill_epoch: Option<u64> = None;
     let mut pinning = PinPolicy::None;
-    let mut arena = 0usize;
     let mut telemetry = false;
     let mut telemetry_ms = 100u64;
     for (lineno, raw) in text.lines().enumerate() {
@@ -130,7 +127,7 @@ fn parse_config(path: &str, process: usize, restore: bool) -> Result<NodeConfig,
             "vectors" => vectors = value.parse().map_err(|e| bad(&e))?,
             "period" => period = value.parse().map_err(|e| bad(&e))?,
             "seed" => seed = value.parse().map_err(|e| bad(&e))?,
-            "shards" => shards = Some(value.parse().map_err(|e| bad(&e))?),
+            "shards" => shards = Some(positive(value).map_err(|e| bad(&e))?),
             "strategy" => {
                 strategy = match value {
                     "greedy" => PartitionStrategy::GreedyCut,
@@ -139,8 +136,8 @@ fn parse_config(path: &str, process: usize, restore: bool) -> Result<NodeConfig,
                     other => return Err(bad(&format!("unknown strategy '{other}'"))),
                 }
             }
-            "mailbox" => mailbox = value.parse().map_err(|e| bad(&e))?,
-            "batch" => batch = value.parse().map_err(|e| bad(&e))?,
+            "mailbox" => mailbox = positive(value).map_err(|e| bad(&e))?,
+            "batch" => batch = positive(value).map_err(|e| bad(&e))?,
             "watchdog_ms" => watchdog_ms = value.parse().map_err(|e| bad(&e))?,
             "connect_s" => connect_s = value.parse().map_err(|e| bad(&e))?,
             "node" => addrs.push(value.parse().map_err(|e| bad(&e))?),
@@ -149,7 +146,6 @@ fn parse_config(path: &str, process: usize, restore: bool) -> Result<NodeConfig,
             "kill_rank" => kill_rank = Some(value.parse().map_err(|e| bad(&e))?),
             "kill_epoch" => kill_epoch = Some(value.parse().map_err(|e| bad(&e))?),
             "pin" => pinning = PinPolicy::parse(value).map_err(|e| bad(&e))?,
-            "arena" => arena = value.parse().map_err(|e| bad(&e))?,
             "telemetry" => {
                 telemetry = match value {
                     "on" | "true" | "1" => true,
@@ -197,6 +193,18 @@ fn parse_config(path: &str, process: usize, restore: bool) -> Result<NodeConfig,
     if kill.is_some() && checkpoint.is_none() {
         return Err("kill_rank/kill_epoch need checkpointing configured".into());
     }
+    // The fault plan and recorder are installed in run().
+    let mut engine = EngineConfig::new()
+        .with_shards(shards)
+        .with_strategy(strategy)
+        .with_mailbox_capacity(mailbox)
+        .with_batch_msgs(batch)
+        .with_watchdog((watchdog_ms > 0).then(|| Duration::from_millis(watchdog_ms)))
+        .with_restore(restore)
+        .with_pinning(pinning);
+    if let Some(cc) = checkpoint {
+        engine = engine.with_checkpoints(cc.every_events, cc.dir);
+    }
     Ok(NodeConfig {
         circuit_name,
         vectors,
@@ -206,21 +214,22 @@ fn parse_config(path: &str, process: usize, restore: bool) -> Result<NodeConfig,
         dist: DistConfig {
             process,
             addrs,
-            num_shards: shards,
-            strategy,
-            mailbox_capacity: mailbox,
-            batch_msgs: batch,
-            watchdog: (watchdog_ms > 0).then(|| Duration::from_millis(watchdog_ms)),
             connect_deadline: Duration::from_secs(connect_s),
-            checkpoint,
-            restore,
-            pinning,
-            arena_capacity: arena,
             telemetry,
             telemetry_period: Duration::from_millis(telemetry_ms.max(1)),
             fleet: None, // installed by the coordinator in run()
+            engine,
         },
     })
+}
+
+/// A count that must be at least 1.
+fn positive(value: &str) -> Result<usize, String> {
+    match value.parse::<usize>() {
+        Ok(0) => Err("must be at least 1".into()),
+        Ok(n) => Ok(n),
+        Err(e) => Err(e.to_string()),
+    }
 }
 
 fn build_circuit(name: &str) -> Result<Circuit, String> {
@@ -386,15 +395,14 @@ fn run() -> Result<ExitCode, String> {
     let listen = cfg.dist.addrs[process];
     let listener =
         TcpListener::bind(listen).map_err(|e| format!("bind {listen}: {e}"))?;
+    let shards = cfg.dist.engine.shards();
     eprintln!(
-        "des-node: rank {process}/{} listening on {listen}, shards {:?} of {}",
+        "des-node: rank {process}/{} listening on {listen}, shards {:?} of {shards}",
         cfg.dist.num_processes(),
-        net::shards_of_process(cfg.dist.num_shards, cfg.dist.num_processes(), process),
-        cfg.dist.num_shards,
+        net::shards_of_process(shards, cfg.dist.num_processes(), process),
     );
-    if cfg.dist.restore {
-        eprintln!("des-node: rank {process} restoring from {:?}",
-            cfg.dist.checkpoint.as_ref().map(|c| c.dir.as_path()).unwrap_or_else(|| std::path::Path::new("?")));
+    if let Some(cc) = cfg.dist.engine.checkpoint().filter(|_| restore) {
+        eprintln!("des-node: rank {process} restoring from {:?}", cc.dir);
     }
     let fault = match cfg.kill {
         Some((rank, epoch)) => {
@@ -403,16 +411,13 @@ fn run() -> Result<ExitCode, String> {
         }
         None => FaultPlan::none(),
     };
-    let result = run_node(
-        &circuit,
-        &stimulus,
-        &delays,
-        listener,
-        &cfg.dist,
-        Arc::new(fault),
-        &recorder,
-    )
-    .map_err(|e| format!("distributed run failed: {e}"))?;
+    cfg.dist.engine = cfg
+        .dist
+        .engine
+        .with_fault_plan(fault)
+        .with_recorder(recorder.clone());
+    let result = run_node(&circuit, &stimulus, &delays, listener, &cfg.dist)
+        .map_err(|e| format!("distributed run failed: {e}"))?;
 
     match result {
         None => {

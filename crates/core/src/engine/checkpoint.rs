@@ -92,14 +92,14 @@ pub struct ShardSnapshot {
     pub nodes: Vec<NodeSnapshot>,
 }
 
-fn put_logic(buf: &mut Vec<u8>, v: Logic) {
+pub(crate) fn put_logic(buf: &mut Vec<u8>, v: Logic) {
     buf.push(match v {
         Logic::Zero => 0,
         Logic::One => 1,
     });
 }
 
-fn get_logic(buf: &[u8], pos: &mut usize) -> Result<Logic, String> {
+pub(crate) fn get_logic(buf: &[u8], pos: &mut usize) -> Result<Logic, String> {
     match get_u8(buf, pos).map_err(|e| e.to_string())? {
         0 => Ok(Logic::Zero),
         1 => Ok(Logic::One),
@@ -107,7 +107,7 @@ fn get_logic(buf: &[u8], pos: &mut usize) -> Result<Logic, String> {
     }
 }
 
-fn put_events(buf: &mut Vec<u8>, events: &[Event]) {
+pub(crate) fn put_events(buf: &mut Vec<u8>, events: &[Event]) {
     put_uvarint(buf, events.len() as u64);
     for ev in events {
         put_uvarint(buf, ev.time);
@@ -115,7 +115,7 @@ fn put_events(buf: &mut Vec<u8>, events: &[Event]) {
     }
 }
 
-fn get_events(buf: &[u8], pos: &mut usize) -> Result<Vec<Event>, String> {
+pub(crate) fn get_events(buf: &[u8], pos: &mut usize) -> Result<Vec<Event>, String> {
     let n = get_uvarint(buf, pos).map_err(|e| e.to_string())?;
     if n > buf.len() as u64 {
         return Err(format!("event count {n} exceeds payload"));

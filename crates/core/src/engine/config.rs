@@ -64,7 +64,6 @@ pub struct EngineConfig {
     restore: bool,
     recovery_attempts: usize,
     pinning: PinPolicy,
-    arena_capacity: usize,
     rank: Option<u64>,
 }
 
@@ -83,7 +82,6 @@ impl Default for EngineConfig {
             restore: false,
             recovery_attempts: 0,
             pinning: PinPolicy::None,
-            arena_capacity: 0,
             rank: None,
         }
     }
@@ -151,13 +149,6 @@ impl EngineConfig {
         self
     }
 
-    /// Replace the whole fault/watchdog policy at once (e.g. to share an
-    /// already-counting fault plan between an engine and its harness).
-    pub fn with_run_policy(mut self, policy: RunPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
     /// Configure observability (tracing + metrics). A disabled config —
     /// the default — installs the no-op recorder: engines then pay one
     /// branch per instrumentation point and allocate nothing.
@@ -214,14 +205,6 @@ impl EngineConfig {
     /// fails the run's `try_run` with [`fault::SimError::Config`].
     pub fn with_pinning(mut self, policy: PinPolicy) -> Self {
         self.pinning = policy;
-        self
-    }
-
-    /// Pre-size each execution context's event arena to `capacity` live
-    /// events (0 = grow on demand). The arena is allocated on the shard
-    /// thread after pinning, so the pages are first-touched locally.
-    pub fn with_arena(mut self, capacity: usize) -> Self {
-        self.arena_capacity = capacity;
         self
     }
 
@@ -303,11 +286,6 @@ impl EngineConfig {
     /// The shard-thread pin policy.
     pub fn pinning(&self) -> &PinPolicy {
         &self.pinning
-    }
-
-    /// The event-arena pre-size (0 = grow on demand).
-    pub fn arena_capacity(&self) -> usize {
-        self.arena_capacity
     }
 
     /// The observability recorder (a clone; all clones share storage).
@@ -397,7 +375,6 @@ mod tests {
             .with_restore(true)
             .with_recovery_attempts(3)
             .with_pinning(PinPolicy::Compact)
-            .with_arena(4096)
             .with_rank(Some(3));
         assert_eq!(cfg.workers(), 4);
         assert_eq!(cfg.shards(), 8);
@@ -413,7 +390,6 @@ mod tests {
         assert!(cfg.restore());
         assert_eq!(cfg.recovery_attempts(), 3);
         assert_eq!(*cfg.pinning(), PinPolicy::Compact);
-        assert_eq!(cfg.arena_capacity(), 4096);
         assert_eq!(cfg.rank(), Some(3));
         assert!(!cfg.fault().is_active());
     }

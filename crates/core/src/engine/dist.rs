@@ -41,30 +41,22 @@
 
 use std::net::{SocketAddr, TcpListener};
 use std::ops::Range;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use circuit::{Circuit, DelayModel, Logic, Stimulus};
-use fault::{FaultPlan, RunCtl, RunPolicy, SimError, Watchdog};
+use circuit::{Circuit, DelayModel, Stimulus};
+use fault::{SimError, Watchdog};
 use net::tcp::{establish, ControlEvent, TcpConfig, TcpControl, TcpFabric};
 use net::wire::{get_u8, get_uvarint, put_uvarint};
 use net::{shards_of_process, BackoffSchedule, Link, DEFAULT_OUTBOX_FRAMES};
-use obs::{FleetCollector, RankReport, Recorder};
+use obs::{FleetCollector, RankReport};
 use shard::comm::outgoing_cut_edges;
-use shard::{Partition, PartitionStrategy};
+use shard::PartitionStrategy;
 
-use crate::engine::checkpoint::CheckpointConfig;
+use crate::engine::checkpoint::{get_events, get_logic, put_events, put_logic};
 use crate::engine::config::EngineConfig;
-use crate::engine::pin::{self, PinPolicy};
-use crate::engine::probe::RunProbe;
-use crate::engine::sharded::{
-    checkpoint_policy, checkpoint_setup, merge_outcomes, shard_mem_stats, stall_snapshot,
-    MigrationBus, ShardCore, ShardOutcome, WaitMatrix,
-};
+use crate::engine::sharded::{merge_outcomes, LocalShards, ShardOutcome};
 use crate::engine::{Engine, SimOutput};
-use crate::event::Event;
 use crate::monitor::Waveform;
 use crate::stats::{SimStats, NUM_STAT_FIELDS};
 
@@ -76,41 +68,20 @@ const OUTCOME_VERSION: u8 = 2;
 /// How long the control-plane wait loops block per poll.
 const CONTROL_POLL: Duration = Duration::from_millis(20);
 
-/// Everything one process needs to join a distributed run. Every rank
-/// must be constructed from the same logical configuration; agreement is
-/// checked via [`config_digest`] during the handshake.
+/// Everything one process needs to join a distributed run: the rank's
+/// identity plus the [`EngineConfig`] of the run. Every rank must be
+/// constructed from the same logical configuration; agreement is checked
+/// via [`config_digest`] during the handshake.
 #[derive(Debug, Clone)]
 pub struct DistConfig {
     /// This process's rank in `addrs` (rank 0 is the coordinator).
     pub process: usize,
-    /// Listen address of every process, indexed by rank.
+    /// Listen address of every process, indexed by rank. Its length is
+    /// the process count.
     pub addrs: Vec<SocketAddr>,
-    /// Total shard count across all processes.
-    pub num_shards: usize,
-    /// Partition strategy (must agree across ranks for identical cuts).
-    pub strategy: PartitionStrategy,
-    /// Per-shard inbox capacity.
-    pub mailbox_capacity: usize,
-    /// Coalesce up to this many cross-process messages per frame.
-    pub batch_msgs: usize,
-    /// No-progress watchdog deadline (`None` disables it).
-    pub watchdog: Option<Duration>,
     /// How long to keep redialing peers during setup, and how long the
     /// termination waits may take before being declared wedged.
     pub connect_deadline: Duration,
-    /// Deterministic epoch checkpoints (DESIGN.md §12); `None` disables
-    /// them. Every rank must configure the same interval (it drives the
-    /// shared barrier schedule) and, on one machine, the same directory.
-    pub checkpoint: Option<CheckpointConfig>,
-    /// Resume from the newest consistent checkpoint instead of starting
-    /// fresh. All ranks of a session must agree (the resumed epoch is
-    /// fenced in the connection handshake).
-    pub restore: bool,
-    /// Pin this rank's shard threads to cores (the plan is computed over
-    /// the rank's *local* shards, so each machine uses its own cores).
-    pub pinning: PinPolicy,
-    /// Pre-size each local shard's event arena (0 = grow on demand).
-    pub arena_capacity: usize,
     /// Piggyback fleet telemetry (rank-tagged metric snapshots, trace
     /// flushes, clock-offset pings) on the framed protocol. Advertised
     /// as a feature bit in the `Hello` handshake; telemetry frames only
@@ -128,6 +99,16 @@ pub struct DistConfig {
     /// straggler report). Ignored on workers and when `telemetry` is
     /// off.
     pub fleet: Option<Arc<Mutex<FleetCollector>>>,
+    /// The run: shard count, partition strategy (both must agree across
+    /// ranks for identical cuts), mailbox and batch sizing, watchdog,
+    /// fault plan, recorder, checkpointing (every rank must configure the
+    /// same interval and, on one machine, the same directory), restore
+    /// (all ranks of a session must agree; the resumed epoch is fenced
+    /// in the handshake) and pinning (planned over the rank's *local*
+    /// shards, so each machine uses its own cores). Its process count is
+    /// ignored in favour of `addrs`, and its rebalance policy too:
+    /// distributed runs keep their static partition.
+    pub engine: EngineConfig,
 }
 
 impl DistConfig {
@@ -136,7 +117,6 @@ impl DistConfig {
         self.addrs.len()
     }
 }
-
 /// FNV-1a over the run parameters every rank must agree on. Carried in
 /// the `Hello` handshake so two processes launched with different
 /// circuits, stimuli, or partitions refuse to connect instead of
@@ -170,9 +150,10 @@ pub fn config_digest(
 // Outcome blobs: a shard's results encoded for the coordinator.
 
 /// Encode one shard's outcome for a [`net::Frame::Outcome`] blob, using
-/// the wire crate's varint vocabulary. The stats travel as
-/// [`SimStats::as_array`] in field order, so the blob tracks the struct
-/// without this module naming every counter.
+/// the wire crate's varint vocabulary and the checkpoint event codec for
+/// waveforms. The stats travel as [`SimStats::as_array`] in field order,
+/// so the blob tracks the struct without this module naming every
+/// counter.
 fn encode_outcome(outcome: &ShardOutcome) -> Vec<u8> {
     let mut buf = Vec::new();
     buf.push(OUTCOME_VERSION);
@@ -182,39 +163,25 @@ fn encode_outcome(outcome: &ShardOutcome) -> Vec<u8> {
     put_uvarint(&mut buf, outcome.values.len() as u64);
     for &(ix, v) in &outcome.values {
         put_uvarint(&mut buf, ix as u64);
-        buf.push(v.as_bit() as u8);
+        put_logic(&mut buf, v);
     }
     put_uvarint(&mut buf, outcome.waveforms.len() as u64);
     for (out_ix, wf) in &outcome.waveforms {
         put_uvarint(&mut buf, *out_ix as u64);
-        put_uvarint(&mut buf, wf.len() as u64);
-        for e in wf.events() {
-            put_uvarint(&mut buf, e.time);
-            buf.push(e.value.as_bit() as u8);
-        }
+        put_events(&mut buf, wf.events());
     }
     buf
 }
 
-fn blob_err(shard: usize, context: &str) -> SimError {
-    SimError::invariant(format!("outcome blob from shard {shard}: {context}"))
-}
-
-fn get_logic(buf: &[u8], pos: &mut usize, shard: usize) -> Result<Logic, SimError> {
-    match get_u8(buf, pos).map_err(|e| blob_err(shard, &e.to_string()))? {
-        0 => Ok(Logic::Zero),
-        1 => Ok(Logic::One),
-        b => Err(blob_err(shard, &format!("bad logic byte {b:#x}"))),
-    }
-}
-
 /// Decode a [`net::Frame::Outcome`] blob back into a [`ShardOutcome`].
 fn decode_outcome(shard: usize, blob: &[u8]) -> Result<ShardOutcome, SimError> {
-    let wire = |e: net::WireError| blob_err(shard, &e.to_string());
+    let err =
+        |context: &str| SimError::invariant(format!("outcome blob from shard {shard}: {context}"));
+    let wire = |e: net::WireError| err(&e.to_string());
     let pos = &mut 0usize;
     let version = get_u8(blob, pos).map_err(wire)?;
     if version != OUTCOME_VERSION {
-        return Err(blob_err(shard, &format!("unknown version {version}")));
+        return Err(err(&format!("unknown version {version}")));
     }
     let mut fields = [0u64; NUM_STAT_FIELDS];
     for f in fields.iter_mut() {
@@ -225,29 +192,24 @@ fn decode_outcome(shard: usize, blob: &[u8]) -> Result<ShardOutcome, SimError> {
     let mut values = Vec::with_capacity(nvalues.min(1 << 20));
     for _ in 0..nvalues {
         let ix = get_uvarint(blob, pos).map_err(wire)? as usize;
-        let v = get_logic(blob, pos, shard)?;
-        values.push((ix, v));
+        values.push((ix, get_logic(blob, pos).map_err(|e| err(&e))?));
     }
     let nwaves = get_uvarint(blob, pos).map_err(wire)? as usize;
     let mut waveforms = Vec::with_capacity(nwaves.min(1 << 20));
     for _ in 0..nwaves {
         let out_ix = get_uvarint(blob, pos).map_err(wire)? as usize;
-        let nevents = get_uvarint(blob, pos).map_err(wire)? as usize;
+        let events = get_events(blob, pos).map_err(|e| err(&e))?;
+        if events.windows(2).any(|w| w[1].time < w[0].time) {
+            return Err(err("waveform times decrease"));
+        }
         let mut wf = Waveform::new();
-        let mut last = 0u64;
-        for _ in 0..nevents {
-            let time = get_uvarint(blob, pos).map_err(wire)?;
-            let value = get_logic(blob, pos, shard)?;
-            if time < last {
-                return Err(blob_err(shard, "waveform times decrease"));
-            }
-            last = time;
-            wf.record(Event { time, value });
+        for e in events {
+            wf.record(e);
         }
         waveforms.push((out_ix, wf));
     }
     if *pos != blob.len() {
-        return Err(blob_err(shard, "trailing bytes"));
+        return Err(err("trailing bytes"));
     }
     Ok(ShardOutcome {
         stats,
@@ -298,203 +260,101 @@ pub fn run_node(
     delays: &DelayModel,
     listener: TcpListener,
     cfg: &DistConfig,
-    fault: Arc<FaultPlan>,
-    recorder: &Recorder,
 ) -> Result<Option<SimOutput>, SimError> {
-    assert_eq!(stimulus.num_inputs(), circuit.inputs().len());
-    fault.reset();
     let wall_start = Instant::now();
     let nproc = cfg.num_processes();
     let engine_name = format!("dist[p={}/{nproc}]", cfg.process);
-    let partition = Arc::new(Partition::build(circuit, cfg.num_shards, cfg.strategy));
-    let metrics = partition.metrics(circuit);
-    let ctl = Arc::new(RunCtl::new());
-    let local = shards_of_process(cfg.num_shards, nproc, cfg.process);
+    // Static partition, and every metric labelled with this rank.
+    let engine_cfg = cfg
+        .engine
+        .clone()
+        .with_rebalance(None)
+        .with_rank(Some(cfg.process as u64));
+    let num_shards = engine_cfg.shards();
+    let recorder = &engine_cfg.recorder();
+    // Every rank resolves the newest consistent checkpoint epoch
+    // independently from the shared directory; the session epoch in the
+    // handshake fences any disagreement (a stale writer that resumed
+    // from a different epoch is refused).
+    let shards = LocalShards::new(
+        circuit,
+        stimulus,
+        delays,
+        &engine_cfg,
+        engine_name.clone(),
+        cfg.process,
+        nproc,
+    )?;
+    let (ctl, local) = (&shards.ctl, &shards.local);
+    let resumed = shards.ckpt.as_ref().is_some_and(|s| s.resume.is_some());
+    let session_epoch = shards.ckpt.as_ref().map_or(0, |s| s.session_epoch());
 
-    // Checkpoint/restore wiring. Every rank resolves the newest
-    // consistent epoch independently from the shared directory; the
-    // session epoch in the handshake fences any disagreement (a stale
-    // writer that resumed from a different epoch is refused).
-    let ckpt_setup = match cfg.checkpoint.as_ref() {
-        Some(cc) => Some(checkpoint_setup(
-            cc,
-            cfg.process as u64,
-            nproc,
-            local.clone().map(|s| s as u64).collect(),
-            cfg.restore,
-            circuit,
-            &partition,
-            recorder,
-        )?),
-        None => None,
-    };
-    let resumed = ckpt_setup.as_ref().is_some_and(|s| s.resume.is_some());
-    let session_epoch = ckpt_setup.as_ref().map_or(0, |s| s.session_epoch());
-    let barrier_policy = cfg
-        .checkpoint
-        .as_ref()
-        .map(|cc| checkpoint_policy(cc.every_events));
-    let bus = barrier_policy.map(|_| MigrationBus::new(circuit.num_nodes()));
-
+    let fault = engine_cfg.fault();
     let fabric = establish(
         listener,
         &TcpConfig {
             process: cfg.process,
             addrs: cfg.addrs.clone(),
-            num_shards: cfg.num_shards,
-            mailbox_capacity: cfg.mailbox_capacity,
-            batch_msgs: cfg.batch_msgs,
+            num_shards,
+            mailbox_capacity: engine_cfg.mailbox_capacity(),
+            batch_msgs: engine_cfg.batch_msgs(),
             max_outbox_frames: DEFAULT_OUTBOX_FRAMES,
-            digest: config_digest(circuit, stimulus, cfg.num_shards, cfg.strategy),
+            digest: config_digest(circuit, stimulus, num_shards, engine_cfg.strategy()),
             connect_deadline: cfg.connect_deadline,
             session_epoch,
             retry_seed: fault.seed(),
             recorder: recorder.clone(),
-            fault: Arc::clone(&fault),
+            fault: Arc::clone(fault),
             telemetry: cfg.telemetry,
         },
-        Arc::clone(&partition),
-        Arc::clone(&ctl),
+        Arc::clone(&shards.partition),
+        Arc::clone(ctl),
     )?;
     let TcpFabric {
         endpoints,
         control,
         probe,
     } = fabric;
-
-    let shard_done: Arc<Vec<AtomicBool>> =
-        Arc::new(local.clone().map(|_| AtomicBool::new(false)).collect());
-    let pin_plan = cfg.pinning.plan(local.len())?;
-    let mem = shard_mem_stats(local.len());
-    // Global shard ids index the matrix; only this rank's rows are ever
-    // written locally — remote ranks report theirs via telemetry.
-    let waits = Arc::new(WaitMatrix::new(cfg.num_shards));
-    let watchdog = cfg.watchdog.map(|deadline| {
-        let engine = engine_name.clone();
-        let fault = Arc::clone(&fault);
-        let done = Arc::clone(&shard_done);
-        let mem = Arc::clone(&mem);
-        let probe = probe.clone();
-        let waits = Arc::clone(&waits);
-        let cut_edges = metrics.cut_edges;
-        let imbalance = metrics.load_imbalance_pct;
-        let recorder = recorder.clone();
-        Watchdog::arm(Arc::clone(&ctl), deadline, move |stalled_for, ticks| {
-            stall_snapshot(
-                &engine, &probe, &done, &mem, &fault, &recorder, &waits, cut_edges,
-                imbalance, stalled_for, ticks,
-            )
-        })
-    });
+    // Armed through the termination waits below, not just the shard run.
+    let watchdog = shards.watch(probe.clone());
 
     // Telemetry sequencing: periodic in-run reports plus one final
     // report share the counter so the collector's stale-seq drop works.
     let telemetry_on = cfg.telemetry;
     let mut telemetry_seq: u64 = 0;
 
-    // Run the local shard cores exactly as the single-process engine
-    // does: one thread each, panics contained at the shard boundary.
-    let mut outcomes: Vec<Option<ShardOutcome>> = Vec::with_capacity(local.len());
-    std::thread::scope(|scope| {
+    let outcomes = std::thread::scope(|scope| {
         // Workers additionally run a telemetry pump: every period,
         // capture this rank's metric/trace snapshot and ship it to the
         // coordinator as an opaque blob. Lossy by design — a full
         // outbox drops the report rather than perturb the simulation.
         if telemetry_on && cfg.process != 0 {
             let control = &control;
-            let done = Arc::clone(&shard_done);
-            let ctl = Arc::clone(&ctl);
-            let engine = engine_name.clone();
+            let threads = &shards.threads;
+            let engine = &engine_name;
             let period = cfg.telemetry_period.max(Duration::from_millis(10));
-            let rank = cfg.process as u64;
             let seq = &mut telemetry_seq;
-            let recorder = recorder.clone();
-            let local = local.clone();
-            let process = cfg.process;
             scope.spawn(move || {
                 let mut next = Instant::now() + period;
-                while !(done.iter().all(|d| d.load(Ordering::Acquire)) || ctl.is_cancelled())
-                {
+                while !(threads.all_done() || ctl.is_cancelled()) {
                     std::thread::sleep(Duration::from_millis(5));
                     if Instant::now() < next {
                         continue;
                     }
                     next += period;
                     if control.peer_telemetry(0) {
-                        let mut report =
-                            RankReport::capture(rank, &engine, *seq, &recorder, 1 << 14);
-                        retain_local_traces(&mut report, &local, process);
+                        let rank = cfg.process as u64;
+                        let mut report = RankReport::capture(rank, engine, *seq, recorder, 1 << 14);
+                        retain_local_traces(&mut report, local, cfg.process);
                         *seq += 1;
                         control.send_telemetry(0, report.seq, report.encode());
                     }
                 }
             });
         }
-        let handles: Vec<_> = endpoints
-            .into_iter()
-            .map(|link| {
-                let ctl = Arc::clone(&ctl);
-                let fault = Arc::clone(&fault);
-                let done = Arc::clone(&shard_done);
-                let partition = &partition;
-                let first = local.start;
-                let engine_name = &engine_name;
-                let bus = bus.as_ref();
-                let ckpt_setup = ckpt_setup.as_ref();
-                let arena_capacity = cfg.arena_capacity;
-                let pin_slot = pin_plan[link.shard() - first];
-                let mem = Arc::clone(&mem);
-                let waits = &waits;
-                scope.spawn(move || {
-                    let mut link = link;
-                    let id = link.shard();
-                    link.set_tracer(recorder.tracer(&format!("net-{id}")));
-                    // Pin before building the core so the arena is
-                    // allocated from the pinned core.
-                    mem[id - first].record_pin(pin_slot.and_then(pin::pin_current_thread));
-                    let result = catch_unwind(AssertUnwindSafe(|| {
-                        // Distributed runs keep their static partition:
-                        // the barrier bus is Some only for checkpoint
-                        // epochs (never for node migration).
-                        let reb = bus.zip(barrier_policy);
-                        let ckpt = ckpt_setup.map(|setup| setup.spec_for(id));
-                        let mut core = ShardCore::new(
-                            circuit,
-                            stimulus,
-                            delays,
-                            (**partition).clone(),
-                            link,
-                            &ctl,
-                            &fault,
-                            reb,
-                            ckpt,
-                            RunProbe::with_rank(
-                                recorder,
-                                engine_name,
-                                &format!("shard-{id}"),
-                                Some(cfg.process as u64),
-                            ),
-                            arena_capacity,
-                            &mem[id - first],
-                            waits,
-                        );
-                        core.run();
-                        core.into_outcome()
-                    }));
-                    done[id - first].store(true, Ordering::Release);
-                    match result {
-                        Ok(outcome) => Some(outcome),
-                        Err(payload) => {
-                            ctl.record_error(SimError::from_panic(None, payload.as_ref()));
-                            None
-                        }
-                    }
-                })
-            })
-            .collect();
-        for handle in handles {
-            outcomes.push(handle.join().unwrap_or(None));
-        }
+        shards.run(endpoints, |link| {
+            link.set_tracer(recorder.tracer(&format!("net-{}", link.shard())));
+        })
     });
 
     let finish = |watchdog: Option<Watchdog>, err: SimError| {
@@ -508,17 +368,9 @@ pub fn run_node(
         Err(err)
     };
 
-    if let Some(err) = ctl.take_error() {
-        return finish(watchdog, err);
-    }
-    let outcomes: Vec<ShardOutcome> = match outcomes.into_iter().collect() {
-        Some(v) => v,
-        None => {
-            return finish(
-                watchdog,
-                SimError::invariant("dist: a shard produced no outcome without an error"),
-            )
-        }
+    let outcomes = match outcomes {
+        Ok(outcomes) => outcomes,
+        Err(err) => return finish(watchdog, err),
     };
 
     // Cross-check distributed termination: every inbound cut edge from a
@@ -531,9 +383,9 @@ pub fn run_node(
             if peer == cfg.process {
                 continue;
             }
-            let expected: usize = shards_of_process(cfg.num_shards, nproc, peer)
+            let expected: usize = shards_of_process(num_shards, nproc, peer)
                 .map(|s| {
-                    outgoing_cut_edges(circuit, &partition, s)
+                    outgoing_cut_edges(circuit, &shards.partition, s)
                         .iter()
                         .filter(|e| local.contains(&e.dst_shard))
                         .count()
@@ -566,7 +418,7 @@ pub fn run_node(
                 recorder,
                 1 << 14,
             );
-            retain_local_traces(&mut report, &local, cfg.process);
+            retain_local_traces(&mut report, local, cfg.process);
             let blob = report.encode();
             for _ in 0..50 {
                 if control.send_telemetry(0, report.seq, blob.clone()) {
@@ -652,11 +504,11 @@ pub fn run_node(
             }
         }
     };
-    let mut all = Vec::with_capacity(cfg.num_shards);
+    let mut all = Vec::with_capacity(num_shards);
     all.extend(outcomes);
     let mut done = vec![false; nproc];
     done[0] = true;
-    while !(done.iter().all(|&d| d) && all.len() == cfg.num_shards) {
+    while !(done.iter().all(|&d| d) && all.len() == num_shards) {
         if let Some(err) = ctl.take_error() {
             return finish(watchdog, err);
         }
@@ -703,7 +555,7 @@ pub fn run_node(
                     context: format!(
                         "termination wait timed out: {}/{} outcomes, waiting on processes {missing:?}",
                         all.len(),
-                        cfg.num_shards
+                        num_shards
                     ),
                 },
             );
@@ -748,7 +600,7 @@ pub fn run_node(
         }
     }
     control.broadcast_shutdown();
-    let output = merge_outcomes(circuit, all, metrics.load_imbalance_pct);
+    let output = merge_outcomes(circuit, all, shards.metrics.load_imbalance_pct);
     output
         .stats
         .publish_ranked(recorder, &engine_name, Some(cfg.process as u64), wall_start.elapsed());
@@ -757,7 +609,7 @@ pub fn run_node(
     // (including its shards' NULL-wait totals) alongside the workers'.
     if let Some(fleet) = fleet {
         let mut report = RankReport::capture(0, &engine_name, telemetry_seq, recorder, 1 << 14);
-        retain_local_traces(&mut report, &local, cfg.process);
+        retain_local_traces(&mut report, local, cfg.process);
         fleet.lock().expect("fleet collector").absorb(report);
     }
     Ok(Some(output))
@@ -776,18 +628,9 @@ const DEFAULT_CONNECT_DEADLINE: Duration = Duration::from_secs(30);
 /// separate processes use the `des-node` binary with the same
 /// [`run_node`] entry point.
 pub struct TcpShardedEngine {
-    num_shards: usize,
-    num_processes: usize,
-    strategy: PartitionStrategy,
-    mailbox_capacity: usize,
-    batch_msgs: usize,
-    policy: RunPolicy,
-    checkpoint: Option<CheckpointConfig>,
-    restore: bool,
-    recovery_attempts: usize,
-    pinning: PinPolicy,
-    arena_capacity: usize,
-    telemetry: bool,
+    cfg: EngineConfig,
+    /// The coordinator's merged-telemetry sink; `Some` turns telemetry
+    /// frames on on every link.
     fleet: Option<Arc<Mutex<FleetCollector>>>,
 }
 
@@ -810,18 +653,7 @@ impl TcpShardedEngine {
             "more processes than shards: {num_processes} > {num_shards}"
         );
         TcpShardedEngine {
-            num_shards,
-            num_processes,
-            strategy: cfg.strategy(),
-            mailbox_capacity: cfg.mailbox_capacity(),
-            batch_msgs: cfg.batch_msgs(),
-            policy: cfg.run_policy(),
-            checkpoint: cfg.checkpoint(),
-            restore: cfg.restore(),
-            recovery_attempts: cfg.recovery_attempts(),
-            pinning: cfg.pinning().clone(),
-            arena_capacity: cfg.arena_capacity(),
-            telemetry: false,
+            cfg: cfg.clone(),
             fleet: None,
         }
     }
@@ -830,7 +662,6 @@ impl TcpShardedEngine {
     /// coordinator's merged telemetry into `fleet` (merged traces,
     /// rank-labelled metrics, clock offsets, straggler report).
     pub fn with_fleet(mut self, fleet: Arc<Mutex<FleetCollector>>) -> Self {
-        self.telemetry = true;
         self.fleet = Some(fleet);
         self
     }
@@ -845,9 +676,10 @@ impl TcpShardedEngine {
     ) -> Result<SimOutput, SimError> {
         // Bind every rank's listener first so the shared address list is
         // complete before anyone dials (ephemeral ports).
-        let mut listeners = Vec::with_capacity(self.num_processes);
-        let mut addrs = Vec::with_capacity(self.num_processes);
-        for _ in 0..self.num_processes {
+        let num_processes = self.cfg.processes();
+        let mut listeners = Vec::with_capacity(num_processes);
+        let mut addrs = Vec::with_capacity(num_processes);
+        for _ in 0..num_processes {
             let l = TcpListener::bind("127.0.0.1:0")
                 .map_err(|e| SimError::transport(None, format!("bind: {e}")))?;
             addrs.push(
@@ -856,34 +688,23 @@ impl TcpShardedEngine {
             );
             listeners.push(l);
         }
-        let recorder = self.policy.recorder();
         let mut results: Vec<Result<Option<SimOutput>, SimError>> = Vec::new();
         std::thread::scope(|scope| {
             let handles: Vec<_> = listeners
                 .into_iter()
                 .enumerate()
                 .map(|(rank, listener)| {
+                    // Clones share one fault plan and one recorder.
                     let cfg = DistConfig {
                         process: rank,
                         addrs: addrs.clone(),
-                        num_shards: self.num_shards,
-                        strategy: self.strategy,
-                        mailbox_capacity: self.mailbox_capacity,
-                        batch_msgs: self.batch_msgs,
-                        watchdog: self.policy.watchdog(),
                         connect_deadline: DEFAULT_CONNECT_DEADLINE,
-                        checkpoint: self.checkpoint.clone(),
-                        restore,
-                        pinning: self.pinning.clone(),
-                        arena_capacity: self.arena_capacity,
-                        telemetry: self.telemetry,
+                        telemetry: self.fleet.is_some(),
                         telemetry_period: Duration::from_millis(100),
                         fleet: if rank == 0 { self.fleet.clone() } else { None },
+                        engine: self.cfg.clone().with_restore(restore),
                     };
-                    let fault = Arc::clone(self.policy.fault());
-                    scope.spawn(move || {
-                        run_node(circuit, stimulus, delays, listener, &cfg, fault, recorder)
-                    })
+                    scope.spawn(move || run_node(circuit, stimulus, delays, listener, &cfg))
                 })
                 .collect();
             for handle in handles {
@@ -926,12 +747,12 @@ fn recoverable(err: &SimError) -> bool {
 
 impl Engine for TcpShardedEngine {
     fn name(&self) -> String {
-        let tag = if self.checkpoint.is_some() { ",ckpt" } else { "" };
+        let tag = if self.cfg.checkpoint().is_some() { ",ckpt" } else { "" };
         format!(
             "tcp-sharded[k={},p={},{}{tag}]",
-            self.num_shards,
-            self.num_processes,
-            self.strategy.name()
+            self.cfg.shards(),
+            self.cfg.processes(),
+            self.cfg.strategy().name()
         )
     }
 
@@ -945,13 +766,13 @@ impl Engine for TcpShardedEngine {
         // failure rebuild it from the newest consistent checkpoint after
         // a deterministic backoff (DESIGN.md §12). The first attempt
         // honors the configured `restore` flag; every retry restores.
-        let budget = if self.checkpoint.is_some() {
-            self.recovery_attempts
+        let budget = if self.cfg.checkpoint().is_some() {
+            self.cfg.recovery_attempts()
         } else {
             0
         };
-        let mut backoff = BackoffSchedule::new(self.policy.fault().seed(), u64::MAX);
-        let mut restore = self.restore;
+        let mut backoff = BackoffSchedule::new(self.cfg.fault().seed(), u64::MAX);
+        let mut restore = self.cfg.restore();
         for remaining in (0..=budget).rev() {
             match self.run_attempt(circuit, stimulus, delays, restore) {
                 Ok(out) => return Ok(out),
@@ -970,7 +791,9 @@ impl Engine for TcpShardedEngine {
 mod tests {
     use super::*;
     use crate::engine::seq::SeqWorksetEngine;
+    use crate::event::Event;
     use circuit::generators::{c17, kogge_stone_adder};
+    use circuit::Logic;
 
     #[test]
     fn outcome_blob_round_trips() {
@@ -994,6 +817,17 @@ mod tests {
             waveforms: vec![(1, wf)],
         };
         let blob = encode_outcome(&outcome);
+        // The bytes every rank of a mixed build must agree on: version,
+        // the 19 stats in field order, values, then each waveform as
+        // count + (time, logic byte).
+        #[rustfmt::skip]
+        let golden: [u8; 35] = [
+            2,
+            42, 0, 0, 0, 0, 0, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0xC0, 0xC4, 0x07, 0, 0,
+            2, 0, 0, 5, 1,
+            1, 1, 2, 3, 1, 0x84, 0x07, 0,
+        ];
+        assert_eq!(blob, golden);
         let back = decode_outcome(3, &blob).unwrap();
         assert_eq!(back.stats, outcome.stats);
         assert_eq!(back.values, outcome.values);

@@ -29,6 +29,7 @@ pub(crate) mod probe;
 pub mod seq;
 pub mod seq_heap;
 pub mod sharded;
+pub mod threads;
 pub mod timewarp;
 
 pub use config::{build, try_build, EngineConfig, ENGINE_NAMES};

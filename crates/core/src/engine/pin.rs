@@ -1,12 +1,13 @@
 //! Core-pinning policies for shard threads (PARSIR-style per-CPU
 //! worker binding).
 //!
-//! A [`PinPolicy`] maps shard indices to CPU cores; the sharded engines
-//! pin each shard thread *before* constructing its `ShardCore`, so the
-//! arena and port queues are first-touched — and therefore page-homed —
-//! on the core that will run them. `ShardedEngine` runs its last shard
-//! on the calling thread, which it pins for the run only: the caller's
-//! previous mask is saved first and put back afterwards. Pinning uses
+//! A [`PinPolicy`] maps shard indices to CPU cores. The sharded engines
+//! apply it in one place, [`super::threads::ShardThreads::run`], which
+//! pins each shard thread *before* the shard builds its state, so its
+//! arena and queues are first-touched — and therefore page-homed — on
+//! the core that will run them. The last shard runs on the calling
+//! thread, which is pinned for the run only: its previous mask is saved
+//! first and put back afterwards. Pinning uses
 //! raw `sched_setaffinity`/`sched_getaffinity` syscalls on x86_64 Linux
 //! (the workspace deliberately has no libc binding); everywhere else
 //! the calls are no-ops and shards simply run unpinned.
@@ -78,14 +79,23 @@ impl PinPolicy {
     /// [`SimError::Config`] when an explicit list is empty or names an
     /// offline core. `None` entries mean "leave unpinned".
     pub fn plan(&self, shards: usize) -> Result<Vec<Option<usize>>, SimError> {
-        let cores = online_cores();
+        // Only a pinned plan asks for the core count: that query costs
+        // syscalls and cgroup file reads, and `model-seq` plans an
+        // unpinned run for every replication.
         match self {
             PinPolicy::None => Ok(vec![None; shards]),
-            PinPolicy::Compact => Ok((0..shards).map(|i| Some(i % cores)).collect()),
-            PinPolicy::Spread => Ok((0..shards)
-                .map(|i| Some(i * cores / shards.max(1) % cores))
-                .collect()),
+            PinPolicy::Compact => {
+                let cores = online_cores();
+                Ok((0..shards).map(|i| Some(i % cores)).collect())
+            }
+            PinPolicy::Spread => {
+                let cores = online_cores();
+                Ok((0..shards)
+                    .map(|i| Some(i * cores / shards.max(1) % cores))
+                    .collect())
+            }
             PinPolicy::Explicit(list) => {
+                let cores = online_cores();
                 if list.is_empty() {
                     return Err(SimError::config("pin: explicit core list is empty"));
                 }
@@ -152,7 +162,7 @@ pub(crate) fn sched_setaffinity_self(mask: &CpuMask) -> bool {
 
 /// `sched_getaffinity(0, …)`, the same way: the calling thread's mask,
 /// for a thread that pins itself only for a while (the caller of
-/// `ShardedEngine::try_run` runs the last shard) to put back with
+/// `ShardThreads::run` runs the last shard) to put back with
 /// [`sched_setaffinity_self`]. `None` when unsupported on this target or
 /// the kernel refused. The raw syscall returns the number of mask bytes
 /// the kernel wrote, not 0, on success.

@@ -5,8 +5,10 @@
 //! over one shared workset (Algorithm 2), this engine splits the netlist
 //! into K shards (`sim-shard`'s [`Partition`]) and runs one *sequential*
 //! Chandy–Misra core per shard on its own thread — the PARSIR-style
-//! architecture. Shards 0 to K−2 each get a scoped thread; the thread
-//! calling `try_run` runs shard K−1. Shards share nothing; every
+//! architecture. `LocalShards` runs the cores through
+//! [`ShardThreads`]: shards 0 to K−2 each get a scoped thread and the
+//! thread calling `try_run` runs shard K−1; the distributed engine's
+//! ranks use the same two layers. Shards share nothing; every
 //! cross-shard edge carries its traffic through bounded, batched
 //! mailboxes ([`shard::comm`]): a node run stages what it sends and the
 //! link hands it over in one operation at the end of the run, when a
@@ -78,31 +80,25 @@
 //! and `events_delivered` are bit-identical with rebalancing on or off.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use circuit::{Circuit, DelayModel, NodeKind, NodeId, PortIx, Stimulus, Target};
-use fault::{
-    FaultPlan, NullWaitEntry, RunCtl, RunPolicy, SimError, StallSnapshot, Watchdog,
-    WorkerSnapshot,
-};
-use net::transport::{
-    loopback, FabricProbe, Link, Loopback, RecvTimeoutError, TryRecvError, TrySendError,
-};
-use obs::{Counter, Recorder, SpanKind};
+use fault::{FaultPlan, NullWaitEntry, RunCtl, SimError, StallSnapshot, Watchdog};
+use net::transport::{loopback, FabricProbe, Link, RecvTimeoutError, TryRecvError, TrySendError};
+use obs::{Counter, SpanKind};
 use shard::comm::{incoming_cut_edges, outgoing_cut_edges, CutEdge, ShardMsg};
-use shard::{plan_rebalance, Partition, PartitionStrategy, RebalancePolicy, ShardId, ShardLoad};
+use shard::{plan_rebalance, Partition, PartitionMetrics, RebalancePolicy, ShardId, ShardLoad};
 
 use crate::arena::EventArena;
-use crate::engine::checkpoint::{
-    self, CheckpointConfig, CheckpointSink, NodeSnapshot, PortSnapshot, ShardSnapshot,
-};
+use crate::engine::checkpoint::{self, CheckpointSink, NodeSnapshot, PortSnapshot, ShardSnapshot};
 use crate::engine::config::EngineConfig;
-use crate::engine::pin::{self, PinPolicy};
+use crate::engine::pin::PinPolicy;
 use crate::engine::probe::RunProbe;
 use crate::engine::seq::extract_node_values;
+use crate::engine::threads::{ShardSlot, ShardThreads};
 use crate::engine::{Engine, SimOutput};
 use crate::event::{Event, Timestamp, NULL_TS};
 use crate::monitor::Waveform;
@@ -126,74 +122,39 @@ const BACKLOGGED_RECV_TIMEOUT: Duration = Duration::from_micros(50);
 /// Partitioned conservative engine: one sequential Chandy–Misra core per
 /// shard, cross-shard traffic over bounded mailboxes.
 pub struct ShardedEngine {
-    num_shards: usize,
-    strategy: PartitionStrategy,
-    mailbox_capacity: usize,
-    policy: RunPolicy,
-    rebalance: Option<RebalancePolicy>,
-    checkpoint: Option<CheckpointConfig>,
-    restore: bool,
-    pinning: PinPolicy,
-    arena_capacity: usize,
-    rank: Option<u64>,
+    cfg: EngineConfig,
 }
 
 impl ShardedEngine {
     /// Build the engine from the unified [`EngineConfig`], the one place
     /// its knobs are set.
     pub fn from_config(cfg: &EngineConfig) -> Self {
-        ShardedEngine {
-            num_shards: cfg.shards(),
-            strategy: cfg.strategy(),
-            mailbox_capacity: cfg.mailbox_capacity(),
-            policy: cfg.run_policy(),
-            rebalance: cfg.rebalance(),
-            checkpoint: cfg.checkpoint(),
-            restore: cfg.restore(),
-            pinning: cfg.pinning().clone(),
-            arena_capacity: cfg.arena_capacity(),
-            rank: cfg.rank(),
-        }
+        ShardedEngine { cfg: cfg.clone() }
     }
 
     /// The engine's fault plan (for asserting on injection counts).
     pub fn fault_plan(&self) -> &Arc<FaultPlan> {
-        self.policy.fault()
-    }
-
-    /// The configured shard count.
-    pub fn num_shards(&self) -> usize {
-        self.num_shards
-    }
-
-    /// The configured partition strategy.
-    pub fn strategy(&self) -> PartitionStrategy {
-        self.strategy
-    }
-
-    /// The configured rebalance policy, if dynamic repartitioning is on.
-    pub fn rebalance(&self) -> Option<RebalancePolicy> {
-        self.rebalance
+        self.cfg.fault()
     }
 }
 
 impl Engine for ShardedEngine {
     fn name(&self) -> String {
-        let tag = if self.rebalance.is_some() {
+        let tag = if self.cfg.rebalance().is_some() {
             ",reb"
-        } else if self.checkpoint.is_some() {
+        } else if self.cfg.checkpoint().is_some() {
             ",ckpt"
         } else {
             ""
         };
-        let pin = match &self.pinning {
+        let pin = match self.cfg.pinning() {
             PinPolicy::None => String::new(),
             p => format!(",pin={}", p.label()),
         };
         format!(
             "sharded[k={},{}{tag}{pin}]",
-            self.num_shards,
-            self.strategy.name()
+            self.cfg.shards(),
+            self.cfg.strategy().name()
         )
     }
 
@@ -207,9 +168,9 @@ impl Engine for ShardedEngine {
         let (outcomes, imbalance_pct) = self.run_shards(circuit, stimulus, delays)?;
         let output = merge_outcomes(circuit, outcomes, imbalance_pct);
         output.stats.publish_ranked(
-            self.policy.recorder(),
+            &self.cfg.recorder(),
             &self.name(),
-            self.rank,
+            self.cfg.rank(),
             wall_start.elapsed(),
         );
         Ok(output)
@@ -217,149 +178,123 @@ impl Engine for ShardedEngine {
 }
 
 impl ShardedEngine {
-    /// Partition, run every shard to completion, and return the
-    /// per-shard outcomes in shard order with the partition's node-count
-    /// imbalance.
-    ///
-    /// Shards 0 to K−2 each run on a scoped thread; the calling thread
-    /// runs shard K−1 itself. Its heap is already warm, so that shard
-    /// allocates from memory the process keeps rather than from a fresh
-    /// thread arena the allocator hands back to the OS after every run
-    /// (on ks128 shard K−1 owns the high bits, which process the most
-    /// events), and one spawn/join per run goes away.
+    /// Partition, run every shard to completion over the in-process
+    /// loopback fabric, and return the per-shard outcomes in shard order
+    /// with the partition's node-count imbalance. The engine is rank 0
+    /// of a one-rank run: it owns every shard.
     fn run_shards(
         &self,
         circuit: &Circuit,
         stimulus: &Stimulus,
         delays: &DelayModel,
     ) -> Result<(Vec<ShardOutcome>, u64), SimError> {
-        assert_eq!(stimulus.num_inputs(), circuit.inputs().len());
-        assert!(
-            self.rebalance.is_none() || self.checkpoint.is_none(),
-            "checkpointing and dynamic repartitioning are mutually exclusive"
-        );
-        let fault = Arc::clone(self.policy.fault());
-        fault.reset();
-        let recorder = self.policy.recorder();
-        let partition = Partition::build(circuit, self.num_shards, self.strategy);
-        let metrics = partition.metrics(circuit);
-        let ctl = Arc::new(RunCtl::new());
-        let (mut links, probe) = loopback(self.num_shards, self.mailbox_capacity);
-        // Checkpointing rides the same epoch-barrier protocol as
-        // rebalancing, under a policy whose planner never moves a node.
-        let barrier_policy = self
-            .rebalance
-            .or_else(|| self.checkpoint.as_ref().map(|cc| checkpoint_policy(cc.every_events)));
-        let bus = barrier_policy.map(|_| MigrationBus::new(circuit.num_nodes()));
-        let ckpt_setup = match self.checkpoint.as_ref() {
-            Some(cc) => Some(checkpoint_setup(
-                cc,
-                0,
-                1,
-                (0..self.num_shards as u64).collect(),
-                self.restore,
-                circuit,
-                &partition,
-                recorder,
-            )?),
-            None => None,
-        };
-        let shard_done: Arc<Vec<AtomicBool>> =
-            Arc::new((0..self.num_shards).map(|_| AtomicBool::new(false)).collect());
-        // Resolve the pin plan up front: an invalid explicit core list is
-        // a configuration error, not a per-thread surprise mid-run.
-        let pin_plan = self.pinning.plan(self.num_shards)?;
-        let mem = shard_mem_stats(self.num_shards);
-        let waits = Arc::new(WaitMatrix::new(self.num_shards));
-
-        let watchdog = self.policy.watchdog().map(|deadline| {
-            let engine = self.name();
-            let fault = Arc::clone(&fault);
-            let done = Arc::clone(&shard_done);
-            let mem = Arc::clone(&mem);
-            let waits = Arc::clone(&waits);
-            let cut_edges = metrics.cut_edges;
-            let imbalance = metrics.load_imbalance_pct;
-            let recorder = recorder.clone();
-            Watchdog::arm(Arc::clone(&ctl), deadline, move |stalled_for, ticks| {
-                stall_snapshot(
-                    &engine, &probe, &done, &mem, &fault, &recorder, &waits, cut_edges,
-                    imbalance, stalled_for, ticks,
-                )
-            })
-        });
-
-        // Panics are contained at the shard boundary: the core is built
-        // *inside* catch_unwind so an unwind drops its endpoint (other
-        // shards observe Disconnected and retire), and the scope joins
-        // every thread before we return — the drained-on-error guarantee.
-        let engine_name = self.name();
-        let run_shard = |link: Loopback| {
-            let id = link.shard();
-            // Pin before building the core: the arena and port queues are
-            // then allocated from the pinned core (first-touch locality).
-            mem[id].record_pin(pin_plan[id].and_then(pin::pin_current_thread));
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                let reb = bus.as_ref().zip(barrier_policy);
-                let ckpt = ckpt_setup.as_ref().map(|setup| setup.spec_for(id));
-                let mut core = ShardCore::new(
-                    circuit,
-                    stimulus,
-                    delays,
-                    partition.clone(),
-                    link,
-                    &ctl,
-                    &fault,
-                    reb,
-                    ckpt,
-                    RunProbe::with_rank(recorder, &engine_name, &format!("shard-{id}"), self.rank),
-                    self.arena_capacity,
-                    &mem[id],
-                    &waits,
-                );
-                core.run();
-                core.into_outcome()
-            }));
-            shard_done[id].store(true, Ordering::Release);
-            match result {
-                Ok(outcome) => Some(outcome),
-                Err(payload) => {
-                    ctl.record_error(SimError::from_panic(None, payload.as_ref()));
-                    None
-                }
-            }
-        };
-        let last = links.pop().expect("at least one shard");
-        let outcomes: Vec<Option<ShardOutcome>> = std::thread::scope(|scope| {
-            let run_shard = &run_shard;
-            let handles: Vec<_> = links
-                .into_iter()
-                .map(|link| scope.spawn(move || run_shard(link)))
-                .collect();
-            // A pinned caller gets its own affinity back after the run.
-            let saved = pin_plan[last.shard()].and_then(|_| pin::sched_getaffinity_self());
-            let own = run_shard(last);
-            if let Some(mask) = saved {
-                pin::sched_setaffinity_self(&mask);
-            }
-            let mut outcomes: Vec<_> =
-                handles.into_iter().map(|h| h.join().unwrap_or(None)).collect();
-            outcomes.push(own);
-            outcomes
-        });
+        let shards = LocalShards::new(circuit, stimulus, delays, &self.cfg, self.name(), 0, 1)?;
+        let (links, probe) = loopback(self.cfg.shards(), self.cfg.mailbox_capacity());
+        let watchdog = shards.watch(probe);
+        let outcomes = shards.run(links, |_| {});
         if let Some(dog) = watchdog {
             dog.disarm();
         }
+        Ok((outcomes?, shards.metrics.load_imbalance_pct))
+    }
+}
 
-        if let Some(err) = ctl.take_error() {
-            return Err(err);
-        }
-        match outcomes.into_iter().collect() {
-            Some(outcomes) => Ok((outcomes, metrics.load_imbalance_pct)),
-            None => Err(SimError::invariant(
-                "sharded: a shard produced no outcome without recording an error",
-            )),
-        }
+/// One rank's local shard cores for one run, and everything they share:
+/// the partition, checkpoint wiring, the barrier bus, the wait matrix
+/// and the [`ShardThreads`] that run them. The in-process engine is one
+/// rank owning every shard; each distributed rank owns its block.
+pub(crate) struct LocalShards<'a> {
+    circuit: &'a Circuit,
+    stimulus: &'a Stimulus,
+    delays: &'a DelayModel,
+    cfg: &'a EngineConfig,
+    engine: String,
+    pub(crate) partition: Arc<Partition>,
+    pub(crate) metrics: PartitionMetrics,
+    /// Global ids of this rank's shards.
+    pub(crate) local: Range<usize>,
+    pub(crate) ctl: Arc<RunCtl>,
+    /// Epoch-barrier bus and policy: `Some` under rebalancing or
+    /// checkpointing (which rides the same protocol under a policy whose
+    /// planner never moves a node).
+    barrier: Option<(MigrationBus, RebalancePolicy)>,
+    pub(crate) ckpt: Option<CkptSetup>,
+    pub(crate) threads: Arc<ShardThreads>,
+    /// Indexed by global shard id; only this rank's rows are written
+    /// locally (remote ranks report theirs via telemetry).
+    waits: Arc<WaitMatrix>,
+}
+
+impl<'a> LocalShards<'a> {
+    /// Set up rank `rank` of `ranks` for a run of `cfg`: reset the fault
+    /// plan, partition, resolve the pin plan and, when checkpointing,
+    /// load this rank's slice of the checkpoint being restored.
+    pub(crate) fn new(
+        circuit: &'a Circuit,
+        stimulus: &'a Stimulus,
+        delays: &'a DelayModel,
+        cfg: &'a EngineConfig,
+        engine: String,
+        rank: usize,
+        ranks: usize,
+    ) -> Result<Self, SimError> {
+        assert_eq!(stimulus.num_inputs(), circuit.inputs().len());
+        assert!(
+            cfg.rebalance().is_none() || cfg.checkpoint().is_none(),
+            "checkpointing and dynamic repartitioning are mutually exclusive"
+        );
+        cfg.fault().reset();
+        let partition = Arc::new(Partition::build(circuit, cfg.shards(), cfg.strategy()));
+        let local = net::shards_of_process(cfg.shards(), ranks, rank);
+        let barrier = cfg
+            .rebalance()
+            .or_else(|| {
+                cfg.checkpoint()
+                    .map(|cc| checkpoint_policy(cc.every_events))
+            })
+            .map(|policy| (MigrationBus::new(circuit.num_nodes()), policy));
+        Ok(LocalShards {
+            ckpt: checkpoint_setup(cfg, circuit, &partition, rank, ranks, local.clone())?,
+            threads: ShardThreads::new(cfg.pinning(), local.len())?,
+            metrics: partition.metrics(circuit),
+            waits: Arc::new(WaitMatrix::new(cfg.shards())),
+            ctl: Arc::new(RunCtl::new()),
+            circuit,
+            stimulus,
+            delays,
+            cfg,
+            engine,
+            partition,
+            local,
+            barrier,
+        })
+    }
+
+    /// Arm the watchdog over this rank's shard threads and `probe`, its
+    /// view of the fabric. The caller disarms it.
+    pub(crate) fn watch(&self, probe: impl FabricProbe + 'static) -> Option<Watchdog> {
+        let waits = Arc::clone(&self.waits);
+        let metrics = self.metrics.clone();
+        self.threads
+            .watch(&self.engine, &self.ctl, self.cfg, move |snap| {
+                fabric_stall(snap, &probe, &waits, &metrics)
+            })
+    }
+
+    /// Run one shard core per link (in local shard order) on the shard
+    /// threads. `prepare` runs on each shard's thread, after pinning and
+    /// before the core is built.
+    pub(crate) fn run<L: Link>(
+        &self,
+        links: Vec<L>,
+        prepare: impl Fn(&mut L) + Sync,
+    ) -> Result<Vec<ShardOutcome>, SimError> {
+        self.threads.run(&self.ctl, links, |mut link| {
+            prepare(&mut link);
+            let mut core = ShardCore::new(self, link);
+            core.run();
+            core.into_outcome()
+        })
     }
 }
 
@@ -423,60 +358,23 @@ fn observed_load_imbalance(outcomes: &[ShardOutcome]) -> u64 {
     ((max as f64 / ideal - 1.0) * 100.0).round().max(0.0) as u64
 }
 
-/// Build the watchdog's diagnostic snapshot: per-shard liveness,
-/// mailbox depths, and (for socket fabrics) per-peer link depths, all
-/// read through the fabric probe without touching simulation state.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn stall_snapshot(
-    engine: &str,
+/// What the circuit fabric adds to a stall snapshot: inbox depths,
+/// per-peer link depths for socket fabrics (both read through the
+/// fabric probe without touching simulation state), the NULL-wait
+/// matrix, and the partition's shape.
+pub(crate) fn fabric_stall(
+    snap: &mut StallSnapshot,
     probe: &dyn FabricProbe,
-    done: &[AtomicBool],
-    mem: &[ShardMemStat],
-    fault: &FaultPlan,
-    recorder: &Recorder,
     waits: &WaitMatrix,
-    cut_edges: usize,
-    imbalance_pct: u64,
-    stalled_for: Duration,
-    ticks: u64,
-) -> StallSnapshot {
-    let queue_depths = probe.inbox_depths();
-    let links = probe.link_depths();
-    let workers: Vec<WorkerSnapshot> = done
-        .iter()
-        .enumerate()
-        .map(|(id, d)| WorkerSnapshot {
-            id,
-            state: if d.load(Ordering::Acquire) {
-                "done".into()
-            } else {
-                "running".into()
-            },
-            queue_depth: queue_depths.get(id).copied(),
-            pinned_core: mem.get(id).and_then(ShardMemStat::pinned_core),
-            arena_live: mem.get(id).and_then(ShardMemStat::arena_live),
-        })
-        .collect();
-    let workset_size = queue_depths.iter().sum();
-    let mut notes = vec![format!(
-        "partition: {cut_edges} cut edges, {imbalance_pct}% load imbalance"
-    )];
-    if fault.is_active() {
-        notes.push(format!("fault injection active: {:?}", fault.injected()));
-    }
-    StallSnapshot {
-        engine: engine.to_string(),
-        stalled_for,
-        progress_ticks: ticks,
-        workers,
-        held_locks: Vec::new(),
-        queue_depths,
-        links,
-        workset_size,
-        notes,
-        null_waits: waits.snapshot(),
-        traces: recorder.recent_traces(16),
-    }
+    metrics: &PartitionMetrics,
+) {
+    snap.queue_depths = probe.inbox_depths();
+    snap.links = probe.link_depths();
+    snap.null_waits = waits.snapshot();
+    snap.notes.push(format!(
+        "partition: {} cut edges, {}% load imbalance",
+        metrics.cut_edges, metrics.load_imbalance_pct
+    ));
 }
 
 /// Shared per-link blocked-on-NULL wait accounting: cell `(w, p)` is
@@ -522,53 +420,6 @@ impl WaitMatrix {
         entries.sort_by_key(|e| std::cmp::Reverse(e.wait_ns));
         entries
     }
-}
-
-/// Per-shard memory diagnostics, published lock-free by the shard
-/// thread and read by the watchdog's stall snapshot. `usize::MAX` is
-/// the "not recorded" sentinel (unpinned thread / core not yet running).
-pub(crate) struct ShardMemStat {
-    pinned: AtomicUsize,
-    arena_live: AtomicUsize,
-}
-
-impl ShardMemStat {
-    pub(crate) fn new() -> Self {
-        ShardMemStat {
-            pinned: AtomicUsize::new(usize::MAX),
-            arena_live: AtomicUsize::new(usize::MAX),
-        }
-    }
-
-    /// Record the core this shard's thread landed on (`None` = floating).
-    pub(crate) fn record_pin(&self, core: Option<usize>) {
-        self.pinned.store(core.unwrap_or(usize::MAX), Ordering::Release);
-    }
-
-    /// Publish the shard arena's current live-event count.
-    pub(crate) fn record_arena(&self, live: usize) {
-        self.arena_live.store(live, Ordering::Relaxed);
-    }
-
-    fn pinned_core(&self) -> Option<usize> {
-        match self.pinned.load(Ordering::Acquire) {
-            usize::MAX => None,
-            core => Some(core),
-        }
-    }
-
-    fn arena_live(&self) -> Option<usize> {
-        match self.arena_live.load(Ordering::Relaxed) {
-            usize::MAX => None,
-            live => Some(live),
-        }
-    }
-}
-
-/// One [`ShardMemStat`] per shard, shared between the shard threads and
-/// the watchdog.
-pub(crate) fn shard_mem_stats(num_shards: usize) -> Arc<Vec<ShardMemStat>> {
-    Arc::new((0..num_shards).map(|_| ShardMemStat::new()).collect())
 }
 
 /// What one shard hands back after a clean run.
@@ -736,25 +587,26 @@ impl CkptSetup {
     }
 }
 
-/// Build a rank's checkpoint sink and, when restoring, load its slice of
-/// the newest consistent checkpoint. Shared by the in-process engine
-/// (one rank owning every shard) and the distributed [`super::dist`]
-/// ranks.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn checkpoint_setup(
-    cc: &CheckpointConfig,
-    rank: u64,
-    num_ranks: usize,
-    local: Vec<u64>,
-    restore: bool,
+/// When `cfg` checkpoints, build rank `rank`'s checkpoint sink over its
+/// `local` shards and, when restoring, load its slice of the newest
+/// consistent checkpoint of the `ranks`-rank session.
+fn checkpoint_setup(
+    cfg: &EngineConfig,
     circuit: &Circuit,
     partition: &Partition,
-    recorder: &Recorder,
-) -> Result<CkptSetup, SimError> {
-    let sink = CheckpointSink::new(cc.dir.clone(), rank, local, recorder)
+    rank: usize,
+    ranks: usize,
+    local: Range<usize>,
+) -> Result<Option<CkptSetup>, SimError> {
+    let Some(cc) = cfg.checkpoint() else {
+        return Ok(None);
+    };
+    let (rank, recorder) = (rank as u64, cfg.recorder());
+    let local = local.map(|s| s as u64).collect();
+    let sink = CheckpointSink::new(cc.dir.clone(), rank, local, &recorder)
         .map_err(|e| SimError::invariant(format!("checkpoint dir {}: {e}", cc.dir.display())))?;
-    let resume = if restore {
-        match checkpoint::latest_consistent_epoch(&cc.dir, num_ranks) {
+    let resume = if cfg.restore() {
+        match checkpoint::latest_consistent_epoch(&cc.dir, ranks) {
             Some(epoch) => {
                 let snaps = checkpoint::load_rank(&cc.dir, epoch, rank)
                     .map_err(SimError::invariant)?
@@ -771,12 +623,12 @@ pub(crate) fn checkpoint_setup(
     } else {
         None
     };
-    Ok(CkptSetup {
+    Ok(Some(CkptSetup {
         sink: Arc::new(sink),
         rank,
         src_shard: Arc::new(port_source_shards(circuit, partition)),
         resume,
-    })
+    }))
 }
 
 /// One shard core's checkpoint handle (see [`CkptSetup`]).
@@ -891,7 +743,7 @@ pub(crate) struct ShardCore<'a, L: Link> {
     /// core the thread runs on.
     arena: EventArena,
     /// Where this shard publishes arena occupancy for stall snapshots.
-    mem: &'a ShardMemStat,
+    slot: &'a ShardSlot,
     /// `Some` iff dynamic repartitioning is enabled for this run.
     reb: Option<RebalanceRt<'a>>,
     /// `Some` iff deterministic checkpointing is enabled for this run.
@@ -903,22 +755,12 @@ pub(crate) struct ShardCore<'a, L: Link> {
 }
 
 impl<'a, L: Link> ShardCore<'a, L> {
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new(
-        circuit: &'a Circuit,
-        stimulus: &'a Stimulus,
-        delays: &'a DelayModel,
-        partition: Partition,
-        link: L,
-        ctl: &'a RunCtl,
-        fault: &'a FaultPlan,
-        rebalance: Option<(&'a MigrationBus, RebalancePolicy)>,
-        ckpt: Option<CkptSpec>,
-        probe: RunProbe,
-        arena_capacity: usize,
-        mem: &'a ShardMemStat,
-        waits: &'a WaitMatrix,
-    ) -> Self {
+    /// Build the core for `link`'s shard on the calling (already
+    /// pinned) thread, so its arena and port queues are first-touched
+    /// there.
+    pub(crate) fn new(shards: &'a LocalShards<'a>, link: L) -> Self {
+        let (circuit, delays) = (shards.circuit, shards.delays);
+        let partition = (*shards.partition).clone();
         let shard = link.shard();
         let owned = partition.nodes_of(shard);
         let mut nodes: Vec<Option<ShardNode>> = (0..circuit.num_nodes()).map(|_| None).collect();
@@ -937,12 +779,15 @@ impl<'a, L: Link> ShardCore<'a, L> {
                 waveform: Waveform::new(),
             });
         }
-        let mut arena = EventArena::with_capacity(arena_capacity);
+        let mut arena = EventArena::new();
         let cut_out = outgoing_cut_edges(circuit, &partition, shard);
         let last_floor = vec![0; cut_out.len()];
         let cut_in = incoming_cut_edges(circuit, &partition, shard);
         let num_shards = partition.num_shards();
-        let mut reb = rebalance.map(|(bus, policy)| RebalanceRt::new(bus, policy, num_shards));
+        let mut reb = shards
+            .barrier
+            .as_ref()
+            .map(|(bus, policy)| RebalanceRt::new(bus, *policy, num_shards));
         let mut input_ix = vec![u32::MAX; circuit.num_nodes()];
         for (ix, id) in circuit.inputs().iter().enumerate() {
             input_ix[id.index()] = ix as u32;
@@ -950,7 +795,7 @@ impl<'a, L: Link> ShardCore<'a, L> {
 
         // Restore: overwrite the fresh per-node state with the snapshot's
         // and fast-forward the epoch counter past the restored barrier.
-        let mut ckpt = ckpt;
+        let mut ckpt = shards.ckpt.as_ref().map(|setup| setup.spec_for(shard));
         let mut stats = SimStats::default();
         let mut resumed = false;
         if let Some((epoch, snap)) = ckpt.as_mut().and_then(|ck| ck.resume.take()) {
@@ -986,17 +831,17 @@ impl<'a, L: Link> ShardCore<'a, L> {
         ShardCore {
             shard,
             circuit,
-            stimulus,
+            stimulus: shards.stimulus,
             partition,
-            ctl,
-            fault,
+            ctl: &shards.ctl,
+            fault: shards.cfg.fault(),
             nodes,
             owned,
             link,
             cut_out,
             last_floor,
             cut_in,
-            waits,
+            waits: &shards.waits,
             null_wait: (0..num_shards).map(|_| None).collect(),
             workset: VecDeque::new(),
             queued: vec![false; circuit.num_nodes()],
@@ -1005,11 +850,16 @@ impl<'a, L: Link> ShardCore<'a, L> {
             stats,
             temp: Vec::new(),
             arena,
-            mem,
+            slot: shards.threads.slot(shard - shards.local.start),
             reb,
             ckpt,
             resumed,
-            probe,
+            probe: RunProbe::with_rank(
+                &shards.cfg.recorder(),
+                &shards.engine,
+                &format!("shard-{shard}"),
+                shards.cfg.rank(),
+            ),
         }
     }
 
@@ -1059,7 +909,7 @@ impl<'a, L: Link> ShardCore<'a, L> {
         loop {
             // Publish arena occupancy where the watchdog and metrics can
             // see it (relaxed stores: diagnostic, not synchronizing).
-            self.mem.record_arena(self.arena.live());
+            self.slot.record_arena(self.arena.live());
             self.probe.arena(self.arena.live(), self.arena.high_water());
             if self.ctl.is_cancelled() {
                 return;
@@ -1995,6 +1845,7 @@ mod tests {
     use circuit::generators::{
         c17, fanout_tree, full_adder, inverter_chain, kogge_stone_adder, wallace_multiplier,
     };
+    use shard::PartitionStrategy;
 
     const STRATEGIES: [PartitionStrategy; 3] = [
         PartitionStrategy::RoundRobin,
@@ -2187,28 +2038,6 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-    #[test]
-    fn pinned_run_gives_the_caller_its_affinity_back() {
-        // The calling thread runs the last shard, pinned like any other;
-        // it must leave `try_run` with the mask it came in with.
-        fn allowed_cpus() -> String {
-            let status = std::fs::read_to_string("/proc/thread-self/status").unwrap();
-            status
-                .lines()
-                .find(|l| l.starts_with("Cpus_allowed_list:"))
-                .expect("Cpus_allowed_list in /proc/thread-self/status")
-                .to_string()
-        }
-        let c = kogge_stone_adder(16);
-        let s = Stimulus::random_vectors(&c, 4, 5, 13);
-        let before = allowed_cpus();
-        for k in [1, 2] {
-            pinned(k, PinPolicy::Compact).run(&c, &s, &DelayModel::standard());
-            assert_eq!(allowed_cpus(), before, "k={k}");
-        }
-    }
-
     /// ks128 as the repository benchmark drives it: two random vectors,
     /// period 10.
     fn ks128() -> (Circuit, Stimulus) {
@@ -2338,19 +2167,15 @@ mod tests {
         assert!(l1.try_recv().is_ok());
         assert_eq!(l1.inbox_len(), 4);
 
-        let done: Vec<AtomicBool> = (0..2).map(|_| AtomicBool::new(false)).collect();
-        let snapshot = stall_snapshot(
+        let metrics = Partition::build(&c17(), 2, PartitionStrategy::default()).metrics(&c17());
+        let threads = ShardThreads::new(&PinPolicy::None, 2).unwrap();
+        let snapshot = threads.stall_snapshot(
             "sharded",
-            &probe,
-            &done,
-            &shard_mem_stats(2),
             &FaultPlan::none(),
-            Recorder::noop(),
-            &WaitMatrix::new(2),
-            0,
-            0,
+            obs::Recorder::noop(),
             Duration::from_millis(250),
             7,
+            &|snap| fabric_stall(snap, &probe, &WaitMatrix::new(2), &metrics),
         );
         assert_eq!(snapshot.queue_depths, vec![0, 4]);
         assert_eq!(snapshot.workset_size, 4);

@@ -52,12 +52,6 @@ impl RunPolicy {
         self
     }
 
-    /// Share an existing (possibly already counting) fault plan.
-    pub fn with_shared_fault_plan(mut self, plan: Arc<FaultPlan>) -> Self {
-        self.fault = plan;
-        self
-    }
-
     /// Replace the watchdog deadline (`None` disables the watchdog).
     pub fn with_watchdog(mut self, deadline: Option<Duration>) -> Self {
         self.watchdog = deadline;

@@ -8,8 +8,9 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use des::engine::threads::ShardThreads;
 use des::{
-    EngineConfig, Partition, Recorder, RunCtl, SimError, SpanKind, StallSnapshot, Tracer, Watchdog,
+    EngineConfig, Partition, PinPolicy, Recorder, RunCtl, SimError, SpanKind, StallSnapshot, Tracer,
 };
 use shard::comm::{fabric, Mailbox, RecvTimeoutError, TrySendError};
 
@@ -178,40 +179,9 @@ fn finish(
     }
 }
 
-/// Arm the no-progress watchdog. `inbox_depths` reads every shard
-/// inbox's depth in messages at the moment of the stall (nothing for the
-/// sequential engine, which has no mailboxes).
-fn arm_watchdog(
-    engine: &'static str,
-    cfg: &EngineConfig,
-    ctl: &Arc<RunCtl>,
-    recorder: &Recorder,
-    inbox_depths: impl Fn() -> Vec<usize> + Send + 'static,
-) -> Option<Watchdog> {
-    let deadline = cfg.watchdog()?;
-    let fault = Arc::clone(cfg.fault());
-    let recorder = recorder.clone();
-    Some(Watchdog::arm(
-        Arc::clone(ctl),
-        deadline,
-        move |stalled_for, ticks| {
-            let mut notes = vec!["model protocol made no progress".to_string()];
-            if fault.is_active() {
-                notes.push(format!("fault injection active: {:?}", fault.injected()));
-            }
-            let queue_depths = inbox_depths();
-            StallSnapshot {
-                engine: engine.to_string(),
-                stalled_for,
-                progress_ticks: ticks,
-                workset_size: queue_depths.iter().sum(),
-                queue_depths,
-                notes,
-                traces: recorder.recent_traces(16),
-                ..Default::default()
-            }
-        },
-    ))
+/// The note every model stall snapshot leads with.
+fn model_stall(snap: &mut StallSnapshot) {
+    snap.notes.push("model protocol made no progress".into());
 }
 
 /// Lower every component onto a [`CompCore`], handing each exactly its
@@ -277,21 +247,40 @@ impl SeqModelEngine {
 
     pub fn try_run<P: Payload>(&self, graph: ModelGraph<P>) -> Result<ModelOutput, SimError> {
         let wall = Instant::now();
-        let fault = Arc::clone(self.cfg.fault());
-        fault.reset();
+        self.cfg.fault().reset();
         let recorder = self.cfg.recorder();
-        let tracer = recorder.tracer("model-seq");
         let ctl = Arc::new(RunCtl::new());
-        let watchdog = arm_watchdog("model-seq", &self.cfg, &ctl, &recorder, Vec::new);
-
+        // One executor, so one shard: the harness runs it on the calling
+        // thread, unpinned.
+        let threads = ShardThreads::new(&PinPolicy::None, 1)?;
+        let watchdog = threads.watch("model-seq", &ctl, &self.cfg, model_stall);
         let (seed, horizon, names, comps, links) = graph.into_parts();
-        let mut cores = lower(seed, horizon, comps, &links);
+        let cores = lower(seed, horizon, comps, &links);
+        let ran = threads.run(&ctl, vec![cores], |cores| {
+            self.sweep(cores, &ctl, &recorder)
+        });
+        if let Some(wd) = watchdog {
+            wd.disarm();
+        }
+        let (cores, stats) = ran?.pop().expect("one shard")?;
+        let comps: Vec<CompResult> = cores.iter().map(collect_comp).collect();
+        Ok(finish("model-seq", &names, comps, stats, &recorder, self.cfg.rank(), wall.elapsed()))
+    }
+
+    /// Round-robin activation sweeps until every component is done, the
+    /// run is cancelled, or something fails.
+    fn sweep<P: Payload>(
+        &self,
+        mut cores: Vec<CompCore<P>>,
+        ctl: &RunCtl,
+        recorder: &Recorder,
+    ) -> Result<(Vec<CompCore<P>>, ModelStats), SimError> {
+        let fault = self.cfg.fault();
+        let tracer = recorder.tracer("model-seq");
         let mut ws = Workspace::new();
         let mut stats = ModelStats::default();
         let mut out: Vec<OutMsg<P>> = Vec::new();
-        let mut result: Result<(), SimError> = Ok(());
-
-        'run: while !ctl.is_cancelled() {
+        while !ctl.is_cancelled() {
             if fault.is_wedged() {
                 // Burn wall-clock without ticking progress; the
                 // watchdog records NoProgress and cancels us.
@@ -301,8 +290,7 @@ impl SeqModelEngine {
             if fault.should_panic_shard(0) {
                 let payload = catch_unwind(|| panic!("injected fault: model executor panic"))
                     .expect_err("closure panics");
-                result = Err(SimError::from_panic(None, &*payload));
-                break 'run;
+                return Err(SimError::from_panic(None, &*payload));
             }
             let mut progress = 0u64;
             for i in 0..cores.len() {
@@ -313,14 +301,8 @@ impl SeqModelEngine {
                     (recorder.is_enabled() && stats.activations & HOT_SAMPLE_MASK == 0)
                         .then(Instant::now);
                 let core = &mut cores[i];
-                let handled =
-                    match catch_unwind(AssertUnwindSafe(|| core.activate(&mut ws, &mut out))) {
-                        Ok(n) => n,
-                        Err(payload) => {
-                            result = Err(SimError::from_panic(Some(i), &*payload));
-                            break 'run;
-                        }
-                    };
+                let handled = catch_unwind(AssertUnwindSafe(|| core.activate(&mut ws, &mut out)))
+                    .map_err(|payload| SimError::from_panic(Some(i), &*payload))?;
                 if let Some(start) = sampled {
                     tracer.complete(SpanKind::NodeRun, i as u64, handled, start);
                 }
@@ -334,37 +316,27 @@ impl SeqModelEngine {
             }
             ctl.tick_n(progress);
             if cores.iter().all(|c| c.is_done()) {
-                result = check_drained("model-seq", &ws);
+                check_drained("model-seq", &ws)?;
                 break;
             }
             if progress == 0 {
-                result = Err(SimError::invariant(
+                return Err(SimError::invariant(
                     "model-seq: no progress with components still pending",
                 ));
-                break;
             }
         }
-
-        if let Some(wd) = watchdog {
-            wd.disarm();
-        }
-        if let Some(err) = ctl.take_error() {
-            if result.is_ok() {
-                result = Err(err);
-            }
-        }
-        result?;
-        let comps: Vec<CompResult> = cores.iter().map(collect_comp).collect();
-        Ok(finish("model-seq", &names, comps, stats, &recorder, self.cfg.rank(), wall.elapsed()))
+        Ok((cores, stats))
     }
 }
 
 /// The sharded conservative executor: components partitioned into K
 /// shards ([`Partition::build_graph`] handles the cyclic graphs the
-/// circuit partitioner never sees), one thread per shard, cross-shard
-/// traffic over the bounded, batched mailboxes of [`shard::comm`] — a
-/// sweep over the shard's components stages what it sends and hands it
-/// over a batch at a time.
+/// circuit partitioner never sees), run by [`ShardThreads`] — shards 0
+/// to K−2 on scoped threads, shard K−1 on the calling thread, each
+/// pinned before it builds its event slab — with cross-shard traffic
+/// over the bounded, batched mailboxes of [`shard::comm`]: a sweep over
+/// the shard's components stages what it sends and hands it over a
+/// batch at a time.
 pub struct ShardedModelEngine {
     cfg: EngineConfig,
 }
@@ -388,8 +360,7 @@ impl ShardedModelEngine {
 
     pub fn try_run<P: Payload>(&self, graph: ModelGraph<P>) -> Result<ModelOutput, SimError> {
         let wall = Instant::now();
-        let fault = Arc::clone(self.cfg.fault());
-        fault.reset();
+        self.cfg.fault().reset();
         let recorder = self.cfg.recorder();
         let ctl = Arc::new(RunCtl::new());
         let (seed, horizon, names, comps, links) = graph.into_parts();
@@ -397,13 +368,12 @@ impl ShardedModelEngine {
         let k = self.cfg.shards().max(1).min(n.max(1));
         let edges: Vec<(usize, usize)> = links.iter().map(|l| (l.src, l.dst)).collect();
         let partition = Partition::build_graph(n, &edges, k, self.cfg.strategy());
-        // Resolve the pin plan before spawning: an invalid explicit core
-        // list is a configuration error, not a per-thread surprise.
-        let pin_plan = self.cfg.pinning().plan(k)?;
+        let threads = ShardThreads::new(self.cfg.pinning(), k)?;
         let assignment: Arc<Vec<usize>> = Arc::new(partition.assignment().to_vec());
-        let (mut mailboxes, depths) = fabric::<OutMsg<P>>(k, self.cfg.mailbox_capacity().max(1));
-        let watchdog = arm_watchdog("model-sharded", &self.cfg, &ctl, &recorder, move || {
-            depths.depths()
+        let (mailboxes, depths) = fabric::<OutMsg<P>>(k, self.cfg.mailbox_capacity().max(1));
+        let watchdog = threads.watch("model-sharded", &ctl, &self.cfg, move |snap| {
+            model_stall(snap);
+            snap.queue_depths = depths.depths();
         });
 
         // Split the lowered cores by shard; each shard also gets a
@@ -417,62 +387,36 @@ impl ShardedModelEngine {
         }
         let g2l = Arc::new(g2l);
 
-        let mut results: Vec<Result<ShardDone, SimError>> = Vec::with_capacity(k);
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(k);
-            for (local, mailbox) in shard_cores.drain(..).zip(mailboxes.drain(..)) {
-                let me = mailbox.shard();
-                let shard = ModelShard {
-                    local,
-                    ws: Workspace::new(),
-                    mailbox,
-                    assignment: Arc::clone(&assignment),
-                    g2l: Arc::clone(&g2l),
-                    ctl: Arc::clone(&ctl),
-                    tracer: recorder.tracer(&format!("model-shard-{me}")),
-                    moved: 0,
-                    idle_ns: 0,
-                };
-                let fault = Arc::clone(&fault);
-                let recorder = recorder.clone();
-                let pin_slot = pin_plan[me];
-                handles.push(scope.spawn(move || shard.run(pin_slot, &fault, &recorder)));
-            }
-            for h in handles {
-                results.push(h.join().unwrap_or_else(|payload| {
-                    Err(SimError::from_panic(None, &*payload))
-                }));
-            }
+        let items: Vec<_> = shard_cores.into_iter().zip(mailboxes).collect();
+        let ran = threads.run(&ctl, items, |(local, mailbox)| {
+            // Built on the shard's (already pinned) thread, so its event
+            // slab is first-touched there.
+            let shard = ModelShard {
+                tracer: recorder.tracer(&format!("model-shard-{}", mailbox.shard())),
+                local,
+                ws: Workspace::new(),
+                mailbox,
+                assignment: Arc::clone(&assignment),
+                g2l: Arc::clone(&g2l),
+                ctl: Arc::clone(&ctl),
+                moved: 0,
+                idle_ns: 0,
+            };
+            shard.run(self.cfg.fault(), &recorder)
         });
-
         if let Some(wd) = watchdog {
             wd.disarm();
         }
         let mut stats = ModelStats::default();
         let mut comps: Vec<CompResult> = Vec::with_capacity(n);
-        let mut first_err: Option<SimError> = None;
-        for r in results {
-            match r {
-                Ok(done) => {
-                    stats.events_delivered += done.handled;
-                    stats.msgs_routed += done.routed;
-                    stats.activations += done.activations;
-                    comps.extend(done.comps);
-                }
-                Err(e) => {
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
-                }
-            }
-        }
-        // The ctl error is the primary cause (first recorded wins
-        // there); thread-local errors are the fallback.
-        if let Some(err) = ctl.take_error() {
-            return Err(err);
-        }
-        if let Some(err) = first_err {
-            return Err(err);
+        for done in ran? {
+            // A shard's own failure is recorded in `ctl` too, so `run`
+            // already returned the first one.
+            let done = done?;
+            stats.events_delivered += done.handled;
+            stats.msgs_routed += done.routed;
+            stats.activations += done.activations;
+            comps.extend(done.comps);
         }
         Ok(finish(
             "model-sharded",
@@ -514,17 +458,7 @@ struct ModelShard<P: Payload> {
 }
 
 impl<P: Payload> ModelShard<P> {
-    fn run(
-        mut self,
-        pin_slot: Option<usize>,
-        fault: &des::FaultPlan,
-        recorder: &Recorder,
-    ) -> Result<ShardDone, SimError> {
-        // Pin first: the shard's event slab grows on demand, so its
-        // pages are first-touched from the pinned core.
-        if let Some(core) = pin_slot {
-            des::engine::pin::pin_current_thread(core);
-        }
+    fn run(mut self, fault: &des::FaultPlan, recorder: &Recorder) -> Result<ShardDone, SimError> {
         let me = self.mailbox.shard();
         let mut done = ShardDone {
             handled: 0,

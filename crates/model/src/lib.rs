@@ -20,7 +20,9 @@
 //! * [`ShardedModelEngine`] (`"model-sharded"`) — components split into
 //!   K shards by the `sim-shard` partitioner (its graph-generic face,
 //!   [`des::Partition::build_graph`], since component graphs may be
-//!   cyclic), one thread per shard, cross-shard events/promises/NULLs
+//!   cyclic), run by the sharded engines' one thread harness
+//!   (`des::engine::threads`: shards 0 to K−2 on scoped threads, the
+//!   last on the calling thread), cross-shard events/promises/NULLs
 //!   over bounded mailboxes with drain-own-inbox backpressure.
 //!
 //! ## Determinism contract

@@ -29,7 +29,6 @@ use std::fmt::Write as _;
 use crate::metrics::{bucket_upper_bound, HistogramSnapshot};
 use crate::recorder::Recorder;
 use crate::ring::{ThreadTraceDump, TraceRecord};
-use crate::span::{critical_path, CriticalPathReport};
 use crate::{perfetto, PairedSpan};
 
 /// Blob format version (bumped independently of the wire version).
@@ -527,12 +526,6 @@ impl FleetCollector {
     /// a Begin on the sending rank with the End on the receiving rank.
     pub fn merged_spans(&self) -> Vec<PairedSpan> {
         crate::span::pair_spans(&self.merged_dumps())
-    }
-
-    /// Critical-path accounting over the merged, offset-corrected
-    /// fleet timeline.
-    pub fn merged_critical_path(&self) -> CriticalPathReport {
-        critical_path(&self.merged_dumps())
     }
 
     /// One Perfetto trace-event document for the whole fleet: each

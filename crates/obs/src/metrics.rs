@@ -22,8 +22,8 @@ pub const NUM_BUCKETS: usize = 65;
 /// executor thread — the fleet-wide sum is the in-flight event population.
 pub const ARENA_LIVE: &str = "sim_arena_live";
 
-/// Well-known metric name: high-water arena occupancy (gauge). The
-/// working-set size `EngineConfig::with_arena` should pre-size to.
+/// Well-known metric name: high-water arena occupancy (gauge): the
+/// largest in-flight event population a thread's slab held.
 pub const ARENA_HIGH_WATER: &str = "sim_arena_high_water";
 
 /// Well-known metric name: ready-batch size per node wakeup (histogram).

@@ -24,7 +24,6 @@
 //! re-aggregates, recomputes the deterministic digest and compares it
 //! to the writer's — a reread is bit-identical or it is an error.
 
-use std::collections::HashMap;
 use std::io::{BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 
@@ -334,40 +333,6 @@ pub fn list_store_files(dir: impl AsRef<Path>) -> std::io::Result<Vec<PathBuf>> 
     Ok(out)
 }
 
-/// In-memory row sink the service uses before chunks hit disk; also
-/// handy in tests. Maps `(cell, rep)` → values.
-#[derive(Default)]
-pub struct RowBuffer {
-    rows: HashMap<(u32, u32), Vec<u64>>,
-}
-
-impl RowBuffer {
-    /// Insert a row; duplicate `(cell, rep)` is an error.
-    pub fn insert(&mut self, cell: u32, rep: u32, values: Vec<u64>) -> Result<(), StoreError> {
-        if self.rows.insert((cell, rep), values).is_some() {
-            return Err(StoreError::DuplicateRow { cell, rep });
-        }
-        Ok(())
-    }
-
-    /// Number of buffered rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True when no rows are buffered.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// Drain in deterministic `(cell, rep)` order.
-    pub fn drain_sorted(&mut self) -> Vec<((u32, u32), Vec<u64>)> {
-        let mut rows: Vec<_> = self.rows.drain().collect();
-        rows.sort_by_key(|(k, _)| *k);
-        rows
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -469,14 +434,8 @@ mod tests {
 
     #[test]
     fn duplicate_rows_detected() {
+        // Write the same rep twice: the writer accepts, the reader rejects.
         let spec = sample_spec();
-        let mut buf = RowBuffer::default();
-        buf.insert(0, 1, vec![1]).unwrap();
-        assert!(matches!(
-            buf.insert(0, 1, vec![2]),
-            Err(StoreError::DuplicateRow { cell: 0, rep: 1 })
-        ));
-        // And on disk: write the same rep twice.
         let path = tmp_path("dup");
         let mut w = RunStoreWriter::create(&path, &spec).expect("create");
         let width = JobAggregate::for_spec(&spec).cells[0].hists.len();

@@ -82,6 +82,7 @@ fn phold_is_bit_identical_across_pin_policies_and_shard_counts() {
     // under every pin policy at every shard count, even when shards
     // outnumber cores (compact/spread wrap instead of failing).
     let reference = run_seq(phold_graph(11));
+    let caller_cpus = allowed_cpus();
     for k in [1usize, 2, 4, 8] {
         for policy in [des::PinPolicy::None, des::PinPolicy::Compact, des::PinPolicy::Spread] {
             let label = policy.label();
@@ -93,8 +94,26 @@ fn phold_is_bit_identical_across_pin_policies_and_shard_counts() {
                 reference.observables, out.observables,
                 "observables diverge at k={k} pin={label}"
             );
+            // The calling thread ran the last shard, pinned for the run only.
+            assert_eq!(
+                allowed_cpus(),
+                caller_cpus,
+                "caller affinity at k={k} pin={label}"
+            );
         }
     }
+}
+
+/// The calling thread's CPU affinity as the kernel reports it (empty
+/// where `/proc/thread-self/status` does not exist).
+fn allowed_cpus() -> String {
+    std::fs::read_to_string("/proc/thread-self/status")
+        .unwrap_or_default()
+        .lines()
+        .find_map(|l| l.strip_prefix("Cpus_allowed_list:"))
+        .unwrap_or_default()
+        .trim()
+        .to_string()
 }
 
 #[test]
@@ -214,6 +233,7 @@ fn wedged_run_trips_the_watchdog_with_a_snapshot() {
             assert!(snapshot.notes.iter().any(|n| n.contains("fault injection")));
             // Both shards wedged before sending anything.
             assert_eq!(snapshot.queue_depths, vec![0, 0]);
+            assert_eq!(snapshot.workers.len(), 2);
         }
         other => panic!("expected NoProgress, got {other}"),
     }

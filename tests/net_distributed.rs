@@ -5,7 +5,6 @@
 
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use circuit::generators::kogge_stone_adder;
@@ -13,7 +12,7 @@ use circuit::{DelayModel, Stimulus};
 use des::engine::seq::SeqWorksetEngine;
 use des::engine::sharded::ShardedEngine;
 use des::engine::{Engine, EngineConfig};
-use des::{config_digest, run_node, DistConfig, FaultPlan, PartitionStrategy, SimError};
+use des::{config_digest, run_node, DistConfig, PartitionStrategy, SimError};
 use net::{encode_frame, read_frame, Frame};
 
 #[test]
@@ -120,30 +119,19 @@ fn peer_disconnect_is_structured_error_not_hang() {
     let cfg = DistConfig {
         process: 0,
         addrs: vec![addr0, addr1],
-        num_shards,
-        strategy,
-        mailbox_capacity: 256,
-        batch_msgs: 64,
-        watchdog: Some(Duration::from_secs(30)),
         connect_deadline: Duration::from_secs(10),
-        checkpoint: None,
-        restore: false,
-        pinning: des::PinPolicy::None,
-        arena_capacity: 0,
         telemetry: false,
         telemetry_period: Duration::from_millis(100),
         fleet: None,
+        engine: EngineConfig::new()
+            .with_shards(num_shards)
+            .with_strategy(strategy)
+            .with_mailbox_capacity(256)
+            .with_batch_msgs(64)
+            .with_watchdog(Some(Duration::from_secs(30))),
     };
     let started = Instant::now();
-    let result = run_node(
-        &circuit,
-        &stimulus,
-        &delays,
-        listener,
-        &cfg,
-        Arc::new(FaultPlan::none()),
-        &des::Recorder::off(),
-    );
+    let result = run_node(&circuit, &stimulus, &delays, listener, &cfg);
     fake_peer.join().unwrap();
     match result {
         Err(SimError::Transport { peer, .. }) => assert_eq!(peer, Some(1)),
