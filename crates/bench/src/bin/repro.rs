@@ -23,7 +23,6 @@ use std::sync::Arc;
 use des::engine::hj::{HjEngine, HjEngineConfig};
 use des::engine::seq::SeqWorksetEngine;
 use des::engine::seq_heap::SeqHeapEngine;
-use des::engine::timewarp::TimeWarpEngine;
 use des::engine::{Engine, EngineConfig};
 use des::profile::available_parallelism;
 use des_bench::report::{fmt_count, fmt_duration, Table};
@@ -110,7 +109,6 @@ const DISPATCH: &[(&str, ExperimentFn)] = &[
     ("fig6", |o| figure_sweep(o, PaperCircuit::Ks128, "Figure 6")),
     ("fig7", fig7),
     ("ablation", ablation),
-    ("ext", extensions),
     ("shard", shard_experiment),
     ("rebalance", rebalance_experiment),
     ("net", net_experiment),
@@ -336,29 +334,6 @@ fn ablation(opts: &Options) {
     // §4.5.1 queue-representation ablation is Table 2 (deque vs ordered
     // queue); §4.5.2 (AtomicBool vs heavier locks) is benchmarked in
     // `benches/ablation_queues.rs`.
-}
-
-fn extensions(opts: &Options) {
-    let workers = *opts.workers.iter().max().expect("non-empty worker list");
-    println!("## Extensions: optimistic Time Warp vs conservative HJ ({} workers)", workers);
-    let mut t = Table::new(["circuit", "hj (min)", "timewarp (min)", "rollbacks", "wasted spec."]);
-    for pc in PaperCircuit::ALL {
-        let w = pc.workload(opts.scale);
-        let rt = Arc::new(HjRuntime::new(workers));
-        let hj_engine = HjEngine::with_config(Arc::clone(&rt), HjEngineConfig::default());
-        let hj = measure(&hj_engine, &w, 1, opts.reps).summary();
-        let tw_engine = TimeWarpEngine::from_config(&EngineConfig::default().with_workers(workers));
-        let tw = measure(&tw_engine, &w, 1, opts.reps);
-        let tws = tw.summary();
-        t.row([
-            w.name.to_string(),
-            fmt_duration(hj.min),
-            fmt_duration(tws.min),
-            fmt_count(tw.sim_stats.aborts),
-            fmt_count(tw.sim_stats.wasted_activations),
-        ]);
-    }
-    println!("{}", t.render());
 }
 
 /// Highest observed imbalance (events processed, not nodes) the default

@@ -24,7 +24,6 @@ pub const EXPERIMENTS: &[Experiment] = &[
     Experiment { name: "fig6", summary: "execution time and speedup vs workers (ks128)" },
     Experiment { name: "fig7", summary: "mean execution time ± 95% CI at max workers" },
     Experiment { name: "ablation", summary: "ablation of the §4.5 optimizations" },
-    Experiment { name: "ext", summary: "extension engines: Time Warp vs conservative HJ" },
     Experiment { name: "shard", summary: "sharded engine partition quality and cut traffic" },
     Experiment { name: "rebalance", summary: "dynamic shard rebalancing under skew" },
     Experiment { name: "net", summary: "distributed fabric: sockets loopback run" },
@@ -94,9 +93,10 @@ mod tests {
         let req = |names: &[&str]| names.iter().map(|s| s.to_string()).collect::<Vec<_>>();
         assert_eq!(first_unknown(&req(&[])), None);
         assert_eq!(first_unknown(&req(&names())), None);
-        assert_eq!(first_unknown(&req(&["all", "ext"])), None);
+        assert_eq!(first_unknown(&req(&["all", "fig6"])), None);
         assert_eq!(first_unknown(&req(&["bogus"])), Some("bogus"));
-        assert_eq!(first_unknown(&req(&["ext", "phodl", "all"])), Some("phodl"));
+        assert_eq!(first_unknown(&req(&["ext"])), Some("ext"));
+        assert_eq!(first_unknown(&req(&["fig6", "phodl", "all"])), Some("phodl"));
     }
 
     #[test]

@@ -194,19 +194,13 @@ pub fn validate_json(src: &str) -> Result<usize, String> {
 /// with a noise floor under it (tiny/quick runs swing tens of percent,
 /// so a 0.3% baseline must not make a 1% rerun a "3x regression").
 /// Returns one verdict line per compared engine; engines absent from
-/// the baseline are noted and skipped, optimistic engines are never
-/// gated (see `UNGATED`), and a baseline recorded at a different
-/// scale skips the whole gate (overhead ratios are only comparable
-/// between runs of the same workload size). `Err` names every
-/// offender.
+/// the baseline are noted and skipped, and a baseline recorded at a
+/// different scale skips the whole gate (overhead ratios are only
+/// comparable between runs of the same workload size). `Err` names
+/// every offender.
 pub fn check_regression(baseline_json: &str, report: &ObsReport) -> Result<Vec<String>, String> {
     const FLOOR_PCT: f64 = 25.0;
     const MAX_GROWTH: f64 = 2.0;
-    // Optimistic execution has no stable overhead ratio to gate: the
-    // recorder's timing perturbation feeds back into the rollback
-    // count, which swings the runtime several-fold between identical
-    // runs (observed -7%..+230% on the same build on a 1-core host).
-    const UNGATED: &[&str] = &["timewarp"];
     let doc = obs::json::parse(baseline_json).map_err(|e| format!("baseline: {e}"))?;
     if doc.get("report").and_then(|j| j.as_str()) != Some("obs") {
         return Err("baseline: missing report:\"obs\" tag".into());
@@ -239,13 +233,6 @@ pub fn check_regression(baseline_json: &str, report: &ObsReport) -> Result<Vec<S
     let mut lines = Vec::new();
     let mut failures = Vec::new();
     for row in &report.rows {
-        if UNGATED.contains(&row.engine.as_str()) {
-            lines.push(format!(
-                "{}: optimistic engine (rollback-count variance), not gated",
-                row.engine
-            ));
-            continue;
-        }
         let Some(&base) = baseline.get(&row.engine) else {
             lines.push(format!("{}: no baseline row (new engine), skipped", row.engine));
             continue;
@@ -469,11 +456,23 @@ mod tests {
         assert!(check_regression(baseline, &gate_report(&[("sharded", 81.0)])).is_err());
         // A malformed baseline is an error, not a silent pass.
         assert!(check_regression("{}", &ok).is_err());
-        // Optimistic engines are never gated: rollback-count variance
-        // makes their overhead ratio meaningless run to run.
-        let warped = gate_report(&[("timewarp", 900.0)]);
-        let lines = check_regression(baseline, &warped).expect("timewarp is not gated");
-        assert!(lines[0].contains("not gated"), "{lines:?}");
+    }
+
+    #[test]
+    fn committed_baseline_has_one_row_per_engine() {
+        // `check_regression` ignores a baseline row no engine produces,
+        // so a stale row would sit in the committed file unnoticed.
+        let committed = include_str!("../../../BENCH_obs.json");
+        assert_eq!(validate_json(committed), Ok(des::ENGINE_NAMES.len()));
+        let doc = obs::json::parse(committed).expect("parses");
+        let names: Vec<&str> = doc
+            .get("engines")
+            .and_then(|j| j.as_arr())
+            .expect("engines array")
+            .iter()
+            .map(|e| e.get("engine").and_then(|j| j.as_str()).expect("named row"))
+            .collect();
+        assert_eq!(names, des::ENGINE_NAMES);
     }
 
     #[test]

@@ -34,18 +34,10 @@ use crate::engine::pin::PinPolicy;
 use crate::engine::seq::SeqWorksetEngine;
 use crate::engine::seq_heap::SeqHeapEngine;
 use crate::engine::sharded::{ShardedEngine, DEFAULT_MAILBOX_CAPACITY};
-use crate::engine::timewarp::TimeWarpEngine;
 use crate::engine::Engine;
 
 /// Every engine name [`build`] accepts, in reporting order.
-pub const ENGINE_NAMES: [&str; 6] = [
-    "seq-workset",
-    "seq-heap",
-    "hj",
-    "timewarp",
-    "sharded",
-    "tcp-sharded",
-];
+pub const ENGINE_NAMES: [&str; 5] = ["seq-workset", "seq-heap", "hj", "sharded", "tcp-sharded"];
 
 /// One configuration for every engine family: thread counts, sharding,
 /// transport sizing, fault/watchdog policy, and rebalancing. See the
@@ -94,8 +86,7 @@ impl EngineConfig {
         Self::default()
     }
 
-    /// Worker threads for the shared-memory parallel engines
-    /// (`hj`, `timewarp`).
+    /// Worker threads for the shared-memory parallel engine (`hj`).
     pub fn with_workers(mut self, workers: usize) -> Self {
         assert!(workers >= 1);
         self.workers = workers;
@@ -306,7 +297,6 @@ pub fn try_build(name: &str, cfg: &EngineConfig) -> Result<Box<dyn Engine>, Stri
         "seq-workset" => Ok(Box::new(SeqWorksetEngine::from_config(cfg))),
         "seq-heap" => Ok(Box::new(SeqHeapEngine::from_config(cfg))),
         "hj" => Ok(Box::new(HjEngine::from_config(cfg))),
-        "timewarp" => Ok(Box::new(TimeWarpEngine::from_config(cfg))),
         "sharded" => Ok(Box::new(ShardedEngine::from_config(cfg))),
         "tcp-sharded" => Ok(Box::new(TcpShardedEngine::from_config(cfg))),
         other => Err(format!(
@@ -340,6 +330,13 @@ mod tests {
             );
         }
         assert!(try_build("no-such-engine", &cfg).is_err());
+        let err = try_build("timewarp", &cfg)
+            .err()
+            .expect("timewarp is not an engine");
+        assert_eq!(
+            err,
+            "unknown engine 'timewarp' (expected one of seq-workset, seq-heap, hj, sharded, tcp-sharded)"
+        );
     }
 
     #[test]

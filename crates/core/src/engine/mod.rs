@@ -9,9 +9,6 @@
 //!   simulator; the simplest possible reference oracle.
 //! * [`hj::HjEngine`] — Algorithm 2: the parallel HJlib implementation
 //!   with the §4.5 optimizations (each individually toggleable).
-//! * [`timewarp::TimeWarpEngine`] — the optimistic family of §2.1
-//!   (Jefferson's Time Warp): speculative execution with rollback and
-//!   anti-messages.
 //! * [`sharded::ShardedEngine`] — partitioned conservative simulation:
 //!   one sequential Chandy–Misra core per shard on its own thread (the
 //!   caller's for the last shard), exchanging events and lookahead
@@ -30,7 +27,6 @@ pub mod seq;
 pub mod seq_heap;
 pub mod sharded;
 pub mod threads;
-pub mod timewarp;
 
 pub use config::{build, try_build, EngineConfig, ENGINE_NAMES};
 

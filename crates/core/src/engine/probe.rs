@@ -14,8 +14,8 @@
 //! (and per event delivery) would multiply the runtime rather than
 //! observe it. Sampling keeps the latency histograms and the trace
 //! representative at a bounded cost. Rare-but-diagnostic records
-//! (trylock retries, backoffs, mailbox stalls, rollbacks, migrations,
-//! rebalance barriers) bypass sampling — engines emit those through
+//! (trylock retries, backoffs, mailbox stalls, migrations, rebalance
+//! barriers) bypass sampling — engines emit those through
 //! [`RunProbe::tracer`] directly so none are lost.
 
 use std::sync::atomic::{AtomicU64, Ordering};

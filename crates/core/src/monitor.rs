@@ -66,8 +66,8 @@ impl Waveform {
         self.events.last().map(|e| e.value)
     }
 
-    /// Truncate to the first `len` events (used by speculative engines to
-    /// roll back observations).
+    /// Truncate to the first `len` events (used by the Galois engine's
+    /// undo log to roll back observations).
     pub fn truncate(&mut self, len: usize) {
         self.events.truncate(len);
     }

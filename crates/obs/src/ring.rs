@@ -24,6 +24,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// What a trace record describes. Kept in sync with the engines'
 /// instrumentation points; exporters render [`SpanKind::label`].
+///
+/// Codes 10 and 14 are retired and must not be reused: sampled trace
+/// records and fleet blobs carry the raw byte, so an old trace would
+/// decode them as whatever kind took the code.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum SpanKind {
@@ -47,8 +51,6 @@ pub enum SpanKind {
     RebalanceBarrier = 8,
     /// A node migrated between shards (`a` = node, `b` = dst shard).
     Migration = 9,
-    /// A Time Warp rollback (`a` = node, `b` = rollback depth).
-    Rollback = 10,
     /// The transport flushed a batch frame (`a` = peer, `b` = bytes).
     NetFlush = 11,
     /// One replication run of a scenario sweep (`a` = task id, `b` =
@@ -64,9 +66,6 @@ pub enum SpanKind {
     /// the two over an offset-corrected fleet merge
     /// ([`crate::fleet`]) yields cross-rank wire latency spans.
     WireSpan = 13,
-    /// A shard sat blocked waiting for a NULL promise from a peer
-    /// (`a` = peer shard it was waiting on, `b` = wait in microseconds).
-    NullWait = 14,
 }
 
 impl SpanKind {
@@ -83,11 +82,9 @@ impl SpanKind {
             SpanKind::MailboxStall => "mailbox_stall",
             SpanKind::RebalanceBarrier => "rebalance_barrier",
             SpanKind::Migration => "migration",
-            SpanKind::Rollback => "rollback",
             SpanKind::NetFlush => "net_flush",
             SpanKind::RunExec => "run_exec",
             SpanKind::WireSpan => "wire_span",
-            SpanKind::NullWait => "null_wait",
         }
     }
 
@@ -104,11 +101,9 @@ impl SpanKind {
             7 => SpanKind::MailboxStall,
             8 => SpanKind::RebalanceBarrier,
             9 => SpanKind::Migration,
-            10 => SpanKind::Rollback,
             11 => SpanKind::NetFlush,
             12 => SpanKind::RunExec,
             13 => SpanKind::WireSpan,
-            14 => SpanKind::NullWait,
             _ => return None,
         })
     }
@@ -341,15 +336,15 @@ mod tests {
             SpanKind::MailboxStall,
             SpanKind::RebalanceBarrier,
             SpanKind::Migration,
-            SpanKind::Rollback,
             SpanKind::NetFlush,
             SpanKind::RunExec,
             SpanKind::WireSpan,
-            SpanKind::NullWait,
         ] {
             assert_eq!(SpanKind::from_u8(kind as u8), Some(kind));
             assert!(!kind.label().is_empty());
         }
+        assert_eq!(SpanKind::from_u8(10), None, "retired: Rollback");
+        assert_eq!(SpanKind::from_u8(14), None, "retired: NullWait");
         assert_eq!(SpanKind::from_u8(200), None);
     }
 

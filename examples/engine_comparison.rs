@@ -1,6 +1,6 @@
 //! Race every engine on the same workload — the paper's §5 comparison in
-//! miniature, extended with the engines the paper only references
-//! (global event list, Time Warp) or adds beside it (sharded).
+//! miniature, extended with the engine the paper only references
+//! (global event list) and the one this reproduction adds (sharded).
 //!
 //! ```sh
 //! cargo run --release --example engine_comparison [workers]
@@ -25,9 +25,6 @@ fn main() {
         .map(|v| v.parse().expect("workers must be an integer"))
         .unwrap_or(2);
 
-    // An 8-bit multiplier keeps the run interactive: the Time Warp
-    // entrant pays heavy rollback storms on this workload class (that is
-    // the point of including it — see EXPERIMENTS.md).
     let circuit = generators::wallace_multiplier(8);
     let stimulus = Stimulus::random_vectors(&circuit, 1, 10, 7);
     let delays = DelayModel::standard();
@@ -46,7 +43,6 @@ fn main() {
         Box::new(GaloisSeqEngine::new()),
         Box::new(HjEngine::with_config(Arc::clone(&rt), HjEngineConfig::default())),
         Box::new(GaloisEngine::new(workers)),
-        build("timewarp", &cfg),
         build("sharded", &sharded_cfg),
         // The sharded engine again, with epoch-barrier repartitioning
         // on: the rebalances / imbalance columns are its report card.

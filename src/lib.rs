@@ -7,7 +7,7 @@
 //! * [`circuit`] — logic-circuit substrate (gates, netlists, generators,
 //!   stimuli, functional reference evaluator).
 //! * [`des`] — the discrete event simulation engines (the paper's primary
-//!   contribution): sequential workset, global-heap, HJ parallel, Time Warp, sharded,
+//!   contribution): sequential workset, global-heap, HJ parallel, sharded,
 //!   plus validation observables.
 //! * [`galois`] — the Galois-style optimistic baseline runtime and engine.
 //!

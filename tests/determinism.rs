@@ -36,10 +36,8 @@ fn observables_independent_of_worker_count() {
     let reference = observables(&SeqWorksetEngine::new().run(&c, &s, &d));
     for workers in [1, 2, 3, 8] {
         let cfg = EngineConfig::default().with_workers(workers);
-        for name in ["hj", "timewarp"] {
-            let got = observables(&build(name, &cfg).run(&c, &s, &d));
-            assert_eq!(reference, got, "{name} with {workers} workers");
-        }
+        let hj = observables(&build("hj", &cfg).run(&c, &s, &d));
+        assert_eq!(reference, hj, "hj with {workers} workers");
         let ga = observables(&GaloisEngine::new(workers).run(&c, &s, &d));
         assert_eq!(reference, ga, "galois with {workers} workers");
     }

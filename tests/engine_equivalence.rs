@@ -12,7 +12,7 @@ use des::engine::hj::{HjEngine, HjEngineConfig};
 use des::engine::seq::SeqWorksetEngine;
 use des::engine::seq_heap::SeqHeapEngine;
 use des::engine::sharded::ShardedEngine;
-use des::engine::{build, Engine, EngineConfig};
+use des::engine::{Engine, EngineConfig};
 use des::validate::{check_against_oracle, check_conservation, check_equivalent};
 use des::PartitionStrategy;
 use galois::{GaloisEngine, GaloisSeqEngine};
@@ -30,7 +30,6 @@ fn all_engines(workers: usize) -> Vec<Box<dyn Engine>> {
         Box::new(GaloisSeqEngine::new()),
         Box::new(HjEngine::with_config(Arc::clone(&rt), HjEngineConfig::default())),
         Box::new(GaloisEngine::new(workers)),
-        build("timewarp", &cfg),
         // The sharded conservative engine, across shard counts and all
         // three partition strategies (K=1 degenerates to a sequential
         // core with zero cut traffic).

@@ -14,7 +14,6 @@ use circuit::generators::{c17, kogge_stone_adder};
 use circuit::{Circuit, DelayModel, Stimulus};
 use des::engine::hj::{HjEngine, HjEngineConfig};
 use des::engine::seq::SeqWorksetEngine;
-use des::engine::timewarp::TimeWarpEngine;
 use des::engine::{Engine, EngineConfig};
 use des::validate::check_equivalent;
 use des::{FaultPlan, SimError};
@@ -92,22 +91,6 @@ fn hj_engine_panic_surfaces_and_runtime_survives() {
     // The shared runtime must survive the failed run.
     let clean = HjEngine::with_config(Arc::clone(&rt), HjEngineConfig::default());
     let out = clean.try_run(&c, &s, &delays).expect("clean run after failure");
-    let seq = SeqWorksetEngine::new().run(&c, &s, &delays);
-    check_equivalent(&seq, &out).unwrap();
-}
-
-#[test]
-fn timewarp_engine_panic_surfaces_and_engine_survives() {
-    let (c, s) = bench_circuit();
-    let delays = DelayModel::standard();
-
-    let faulty =
-        TimeWarpEngine::from_config(&cfg(WORKERS)).with_fault_plan(FaultPlan::seeded(7).panic_on_spawn(3));
-    assert_task_panicked(faulty.try_run(&c, &s, &delays), "timewarp");
-
-    let out = TimeWarpEngine::from_config(&cfg(WORKERS))
-        .try_run(&c, &s, &delays)
-        .expect("clean run after failure");
     let seq = SeqWorksetEngine::new().run(&c, &s, &delays);
     check_equivalent(&seq, &out).unwrap();
 }
@@ -245,17 +228,6 @@ fn hj_engine_wedge_trips_watchdog() {
     let start = Instant::now();
     let result = engine.try_run(&c, &s, &DelayModel::standard());
     assert_no_progress(result, start.elapsed(), "hj");
-}
-
-#[test]
-fn timewarp_engine_wedge_trips_watchdog() {
-    let (c, s) = bench_circuit();
-    let engine = TimeWarpEngine::from_config(&cfg(WORKERS))
-        .with_fault_plan(FaultPlan::seeded(1).wedged())
-        .with_watchdog(Some(WEDGE_DEADLINE));
-    let start = Instant::now();
-    let result = engine.try_run(&c, &s, &DelayModel::standard());
-    assert_no_progress(result, start.elapsed(), "timewarp");
 }
 
 #[test]
