@@ -161,6 +161,10 @@ impl ShardThreads {
     /// arena occupancy, with `fabric` filling in what only the engine's
     /// transport knows: inbox depths (counted in messages), per-peer
     /// links, wait attribution, notes.
+    ///
+    /// Call before [`run`](Self::run): the process's one watchdog thread
+    /// inherits the CPU mask of the thread that arms first, and `run`
+    /// pins its caller.
     pub fn watch(
         self: &Arc<Self>,
         engine: &str,

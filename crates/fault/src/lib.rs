@@ -16,10 +16,12 @@
 //! * [`RunCtl`] — shared per-run control block: a progress counter fed by
 //!   workers, a cooperative cancellation flag checked in engine task
 //!   loops, and a first-error slot.
-//! * [`Watchdog`] — a monitor thread that trips when the progress counter
-//!   stops advancing for longer than a deadline, captures a
-//!   [`StallSnapshot`] and cancels the run so `try_run` can return
-//!   [`SimError::NoProgress`] instead of hanging forever.
+//! * [`Watchdog`] — a run's registration with the one monitor thread per
+//!   process, which trips when the run's progress counter stops advancing
+//!   for longer than a deadline, captures a [`StallSnapshot`] and cancels
+//!   the run so `try_run` can return [`SimError::NoProgress`] instead of
+//!   hanging forever. Only the first arm in a process spawns a thread; a
+//!   panicking snapshot is contained.
 
 mod ctl;
 mod error;
