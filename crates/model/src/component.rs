@@ -1,9 +1,12 @@
 //! The user-facing model vocabulary: payloads, components, and the
 //! handler context.
 
+use std::collections::BinaryHeap;
+
 use des::{Timestamp, NULL_TS};
 
 use crate::rng::DetRng;
+use crate::runtime::{LinkOut, SelfEv, Staged};
 
 /// An opaque event payload exchanged between components.
 ///
@@ -82,12 +85,13 @@ pub struct Ctx<'a, P: Payload> {
     pub(crate) now: Timestamp,
     pub(crate) horizon: Timestamp,
     pub(crate) rng: &'a mut DetRng,
-    pub(crate) lookaheads: &'a [u64],
-    /// Raw emissions `(out link, at)`; absorbed into the per-link
-    /// staging heaps after the handler returns.
-    pub(crate) sent: &'a mut Vec<(usize, Timestamp, P)>,
-    /// Raw self-schedules `(at, payload)` for the local event heap.
-    pub(crate) self_sched: &'a mut Vec<(Timestamp, P)>,
+    /// The component's out links; a send lands on the link's staging
+    /// heap.
+    pub(crate) links: &'a mut [LinkOut<P>],
+    pub(crate) self_heap: &'a mut BinaryHeap<SelfEv<P>>,
+    /// The core's emission counter, bumped by every send and
+    /// self-schedule.
+    pub(crate) seq: &'a mut u64,
     /// Emissions at or past the horizon, dropped and counted.
     pub(crate) dropped: &'a mut u64,
 }
@@ -116,13 +120,13 @@ impl<P: Payload> Ctx<'_, P> {
     /// Number of outbound links this component declared.
     #[inline]
     pub fn num_links(&self) -> usize {
-        self.lookaheads.len()
+        self.links.len()
     }
 
     /// The lookahead of outbound link `link`.
     #[inline]
     pub fn lookahead(&self, link: usize) -> u64 {
-        self.lookaheads[link]
+        self.links[link].lookahead
     }
 
     /// Emit `payload` over outbound link `link` (in
@@ -134,17 +138,23 @@ impl<P: Payload> Ctx<'_, P> {
     /// that makes conservative parallel execution possible.
     #[inline]
     pub fn send(&mut self, link: usize, delay: u64, payload: P) {
+        let out = &mut self.links[link];
         assert!(
-            delay >= self.lookaheads[link],
+            delay >= out.lookahead,
             "send on link {link} with delay {delay} below its lookahead {}",
-            self.lookaheads[link]
+            out.lookahead
         );
-        let at = self.now.saturating_add(delay);
-        if at >= self.horizon || at == NULL_TS {
+        let ts = self.now.saturating_add(delay);
+        if ts >= self.horizon || ts == NULL_TS {
             *self.dropped += 1;
             return;
         }
-        self.sent.push((link, at, payload));
+        *self.seq += 1;
+        out.staged.push(Staged {
+            ts,
+            seq: *self.seq,
+            payload,
+        });
     }
 
     /// Schedule an event on this component itself, `delay >= 1` ticks
@@ -159,6 +169,11 @@ impl<P: Payload> Ctx<'_, P> {
             *self.dropped += 1;
             return;
         }
-        self.self_sched.push((at, payload));
+        *self.seq += 1;
+        self.self_heap.push(SelfEv {
+            at,
+            seq: *self.seq,
+            payload,
+        });
     }
 }

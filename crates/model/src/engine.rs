@@ -16,7 +16,7 @@ use shard::comm::{fabric, Mailbox, RecvTimeoutError, TrySendError};
 
 use crate::component::Payload;
 use crate::graph::{Link, ModelGraph};
-use crate::runtime::{fold_run_checksum, CompCore, OutLink, OutMsg, Workspace};
+use crate::runtime::{fold_run_checksum, CompCore, LinkOut, OutMsg, Workspace};
 
 /// Names accepted by [`run`]/[`try_run`].
 pub const MODEL_ENGINE_NAMES: [&str; 2] = ["model-seq", "model-sharded"];
@@ -141,11 +141,16 @@ fn finish(
     wall: Duration,
 ) -> ModelOutput {
     comps.sort_by_key(|c| c.id);
-    let mut observables = Vec::new();
+    let mut observables = Vec::with_capacity(comps.iter().map(|c| c.observables.len()).sum());
     for c in &comps {
         stats.dropped_at_horizon += c.dropped;
+        let name = &names[c.id];
         for (k, v) in &c.observables {
-            observables.push((format!("{}.{k}", names[c.id]), *v));
+            let mut key = String::with_capacity(name.len() + 1 + k.len());
+            key.push_str(name);
+            key.push('.');
+            key.push_str(k);
+            observables.push((key, *v));
         }
     }
     let checksum = fold_run_checksum(comps.iter().map(|c| c.checksum));
@@ -208,24 +213,26 @@ fn lower<P: Payload>(
             rest = tail;
             let out = own
                 .iter()
-                .map(|l| OutLink {
-                    dst: l.dst,
-                    dst_port: l.dst_port,
-                    lookahead: l.lookahead,
-                })
+                .map(|l| LinkOut::new(l.dst, l.dst_port, l.lookahead))
                 .collect();
             CompCore::new(id, c, seed, horizon, in_counts[id], out)
         })
         .collect()
 }
 
-/// The end-of-run leak check: every event a thread's slab ever held was
-/// handled by the time its components are done.
-fn check_drained<P>(engine: &str, ws: &Workspace<P>) -> Result<(), SimError> {
-    match ws.arena.live() {
+/// The end-of-run leak check: every event a thread's slab ever held,
+/// and every self-event its cores scheduled, was handled by the time
+/// its components are done.
+fn check_drained<P: Payload>(
+    engine: &str,
+    ws: &Workspace<P>,
+    cores: &[CompCore<P>],
+) -> Result<(), SimError> {
+    let pending: usize = cores.iter().map(CompCore::pending_self_events).sum();
+    match ws.arena.live() + pending {
         0 => Ok(()),
-        live => Err(SimError::invariant(format!(
-            "{engine}: {live} events left in the event slab after a clean run"
+        n => Err(SimError::invariant(format!(
+            "{engine}: {n} events left in the event slab or a self-event heap after a clean run"
         ))),
     }
 }
@@ -316,7 +323,7 @@ impl SeqModelEngine {
             }
             ctl.tick_n(progress);
             if cores.iter().all(|c| c.is_done()) {
-                check_drained("model-seq", &ws)?;
+                check_drained("model-seq", &ws, &cores)?;
                 break;
             }
             if progress == 0 {
@@ -535,7 +542,7 @@ impl<P: Payload> ModelShard<P> {
             self.ctl.tick_n(handled + routed + moved);
 
             if self.local.iter().all(|c| c.is_done()) {
-                break check_drained("model-sharded", &self.ws).map_err(Halt::Failed);
+                break check_drained("model-sharded", &self.ws, &self.local).map_err(Halt::Failed);
             }
             if handled == 0 && routed == 0 && moved == 0 {
                 // Nothing local to do: block briefly for upstream traffic,
@@ -650,12 +657,37 @@ mod tests {
     use super::*;
     use des::Event;
 
+    use crate::{Component, Ctx, EventSource};
+
+    struct Idle;
+    impl Component<u64> for Idle {
+        fn on_event(&mut self, _s: EventSource, _p: u64, _ctx: &mut Ctx<'_, u64>) {}
+    }
+
     #[test]
     fn an_undrained_slab_fails_the_run() {
         let mut ws = Workspace::new();
-        assert!(check_drained("model-seq", &ws).is_ok());
+        assert!(check_drained("model-seq", &ws, &[]).is_ok());
         ws.arena.alloc(Event::new(3, 0u64));
-        match check_drained("model-seq", &ws) {
+        match check_drained("model-seq", &ws, &[]) {
+            Err(SimError::InvariantViolation { context }) => {
+                assert!(context.contains("1 events left"), "{context}")
+            }
+            other => panic!("expected an invariant violation, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_pending_self_event_fails_the_run() {
+        let ws = Workspace::new();
+        let mut core = CompCore::new(0, Box::new(Idle), 7, 100, 0, Vec::new());
+        assert!(check_drained("model-seq", &ws, std::slice::from_ref(&core)).is_ok());
+        // A core left done with a self-event still queued: the slab is
+        // empty, since self-events never enter it.
+        core.strand_self_event(5, 9);
+        assert!(core.is_done());
+        assert_eq!(ws.arena.live(), 0);
+        match check_drained("model-seq", &ws, &[core]) {
             Err(SimError::InvariantViolation { context }) => {
                 assert!(context.contains("1 events left"), "{context}")
             }

@@ -33,30 +33,24 @@
 //!   reaches the horizon — or the local clock is exhausted
 //!   ([`NULL_TS`]) — the link gets its terminal NULL and closes.
 //!
-//! A core owns no event memory of its own: the events queued on its
-//! ports and its self-events live in the [`Workspace`] of the executor
-//! thread that runs it, one slab per thread however many components
-//! the thread holds.
+//! Each event lives in one place from emission to handling: a send
+//! sits in its link's staging heap ([`LinkOut`]) until the flush
+//! releases it, a self-event sits inline in its core's self heap, and
+//! an event queued on a port sits in the [`Workspace`] slab of the
+//! executor thread that runs the core, one slab per thread however
+//! many components the thread holds.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use des::node::{local_clock, PortQueue};
-use des::{Event, EventArena, EventRef, Timestamp, NULL_TS};
+use des::{Event, EventArena, Timestamp, NULL_TS};
 
 use crate::component::{Component, Ctx, EventSource, Payload};
 use crate::rng::DetRng;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// One outbound link, resolved to its destination port.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct OutLink {
-    pub(crate) dst: usize,
-    pub(crate) dst_port: usize,
-    pub(crate) lookahead: u64,
-}
 
 /// What an activation emits for the engine to route.
 pub(crate) enum OutMsg<P> {
@@ -92,25 +86,46 @@ impl<P> OutMsg<P> {
     }
 }
 
-/// A staged (not yet released) emission on one outbound link.
-struct Staged<P> {
-    ts: Timestamp,
-    seq: u64,
-    payload: P,
+/// One outbound link: its destination port, its lookahead, the last
+/// promise sent on it ([`NULL_TS`] once its terminal NULL went out) and
+/// the heap of emissions not yet released.
+pub(crate) struct LinkOut<P> {
+    dst: usize,
+    dst_port: usize,
+    pub(crate) lookahead: u64,
+    promised: Timestamp,
+    pub(crate) staged: BinaryHeap<Staged<P>>,
 }
 
-/// A pending self-scheduled event. The payload lives in the executor
-/// thread's arena (as `Event { time: at, value }`); the heap orders
-/// lightweight handles only.
-struct SelfEv {
-    at: Timestamp,
-    seq: u64,
-    ev: EventRef,
+impl<P> LinkOut<P> {
+    pub(crate) fn new(dst: usize, dst_port: usize, lookahead: u64) -> Self {
+        LinkOut {
+            dst,
+            dst_port,
+            lookahead,
+            promised: 0,
+            staged: BinaryHeap::new(),
+        }
+    }
+}
+
+/// A staged (not yet released) emission on one outbound link.
+pub(crate) struct Staged<P> {
+    pub(crate) ts: Timestamp,
+    pub(crate) seq: u64,
+    pub(crate) payload: P,
+}
+
+/// A pending self-scheduled event.
+pub(crate) struct SelfEv<P> {
+    pub(crate) at: Timestamp,
+    pub(crate) seq: u64,
+    pub(crate) payload: P,
 }
 
 // BinaryHeap is a max-heap; both orderings are *reversed* so the heap
-// pops the smallest (time, insertion) pair first. `seq` is unique, so
-// total order needs no payload comparison.
+// pops the smallest (time, emission) pair first. `seq` is unique per
+// core, so total order needs no payload comparison.
 impl<P> PartialEq for Staged<P> {
     fn eq(&self, other: &Self) -> bool {
         self.seq == other.seq
@@ -128,31 +143,28 @@ impl<P> Ord for Staged<P> {
     }
 }
 
-impl PartialEq for SelfEv {
+impl<P> PartialEq for SelfEv<P> {
     fn eq(&self, other: &Self) -> bool {
         self.seq == other.seq
     }
 }
-impl Eq for SelfEv {}
-impl PartialOrd for SelfEv {
+impl<P> Eq for SelfEv<P> {}
+impl<P> PartialOrd for SelfEv<P> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl Ord for SelfEv {
+impl<P> Ord for SelfEv<P> {
     fn cmp(&self, other: &Self) -> Ordering {
         (other.at, other.seq).cmp(&(self.at, self.seq))
     }
 }
 
 /// The memory one executor thread lends every core it runs: the slab
-/// holding every event queued on those cores (port events and
-/// self-events alike; the queues hold handles into it) and the handler
-/// scratch buffers.
+/// holding the events queued on those cores' ports (the queues hold
+/// handles into it) and the payload-encoding scratch of the checksum.
 pub(crate) struct Workspace<P> {
     pub(crate) arena: EventArena<P>,
-    sent: Vec<(usize, Timestamp, P)>,
-    selfs: Vec<(Timestamp, P)>,
     enc: Vec<u8>,
 }
 
@@ -160,8 +172,6 @@ impl<P> Workspace<P> {
     pub(crate) fn new() -> Self {
         Workspace {
             arena: EventArena::new(),
-            sent: Vec::new(),
-            selfs: Vec::new(),
             enc: Vec::new(),
         }
     }
@@ -175,18 +185,13 @@ pub(crate) struct CompCore<P: Payload> {
     horizon: Timestamp,
     /// One generic FIFO-plus-clock queue per inbound link.
     ports: Vec<PortQueue<P>>,
-    out: Vec<OutLink>,
-    lookaheads: Vec<u64>,
-    /// Per-out-link staging heap of unreleased emissions.
-    staged: Vec<BinaryHeap<Staged<P>>>,
-    staged_seq: u64,
+    links: Vec<LinkOut<P>>,
     /// Pending self-events (own heap: they are not on any FIFO link, so
     /// non-monotone self-schedules need no staging detour).
-    self_heap: BinaryHeap<SelfEv>,
-    self_seq: u64,
-    /// Last promise sent per out link; [`NULL_TS`] once its terminal
-    /// NULL went out.
-    promised: Vec<Timestamp>,
+    self_heap: BinaryHeap<SelfEv<P>>,
+    /// Emission counter shared by sends and self-schedules: the
+    /// tie-break of both heaps.
+    seq: u64,
     started: bool,
     done: bool,
     /// Events handled by this component.
@@ -199,30 +204,24 @@ pub(crate) struct CompCore<P: Payload> {
 
 impl<P: Payload> CompCore<P> {
     /// Lower component `id`: derive its RNG stream from the graph seed
-    /// and wire its outbound links, `out[i]` being out link `i`.
+    /// and wire its outbound links, `links[i]` being out link `i`.
     pub(crate) fn new(
         id: usize,
         comp: Box<dyn Component<P>>,
         seed: u64,
         horizon: Timestamp,
         in_count: usize,
-        out: Vec<OutLink>,
+        links: Vec<LinkOut<P>>,
     ) -> Self {
-        let lookaheads: Vec<u64> = out.iter().map(|l| l.lookahead).collect();
-        let n_out = out.len();
         CompCore {
             id,
             comp,
             rng: DetRng::new(seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(id as u64 + 1)),
             horizon,
             ports: (0..in_count).map(|_| PortQueue::new()).collect(),
-            out,
-            lookaheads,
-            staged: (0..n_out).map(|_| BinaryHeap::new()).collect(),
-            staged_seq: 0,
+            links,
             self_heap: BinaryHeap::new(),
-            self_seq: 0,
-            promised: vec![0; n_out],
+            seq: 0,
             started: false,
             done: false,
             delivered: 0,
@@ -233,6 +232,23 @@ impl<P: Payload> CompCore<P> {
 
     pub(crate) fn is_done(&self) -> bool {
         self.done
+    }
+
+    /// Self-events still queued; zero for every core of a clean run.
+    pub(crate) fn pending_self_events(&self) -> usize {
+        self.self_heap.len()
+    }
+
+    /// Leave the core done with `payload` still queued at `at`: the state
+    /// the end-of-run leak check must catch.
+    #[cfg(test)]
+    pub(crate) fn strand_self_event(&mut self, at: Timestamp, payload: P) {
+        self.self_heap.push(SelfEv {
+            at,
+            seq: 0,
+            payload,
+        });
+        self.done = true;
     }
 
     /// Deliver one routed message to the input port it names.
@@ -260,7 +276,7 @@ impl<P: Payload> CompCore<P> {
         }
         if !self.started {
             self.started = true;
-            self.run_start(ws);
+            self.call(0, |comp, ctx| comp.on_start(ctx));
         }
         let clock = local_clock(&self.ports);
         let mut handled = 0u64;
@@ -296,8 +312,7 @@ impl<P: Payload> CompCore<P> {
             };
             if take_self {
                 let s = self.self_heap.pop().expect("peeked");
-                let ev = ws.arena.take(s.ev);
-                self.handle(ws, EventSource::SelfTimer, s.at, ev.value);
+                self.handle(ws, EventSource::SelfTimer, s.at, s.payload);
             } else {
                 let (i, h) = port_pick.expect("picked");
                 let ev = self.ports[i].pop_ready(&mut ws.arena, h).expect("peeked");
@@ -307,7 +322,6 @@ impl<P: Payload> CompCore<P> {
         }
         self.flush(clock, out);
         if clock == NULL_TS {
-            debug_assert!(self.self_heap.is_empty(), "self-events past exhaustion");
             self.done = true;
         }
         handled
@@ -319,84 +333,40 @@ impl<P: Payload> CompCore<P> {
         self.comp.observables(out);
     }
 
-    fn run_start(&mut self, ws: &mut Workspace<P>) {
-        self.call(ws, 0, |comp, ctx| comp.on_start(ctx));
-    }
-
     fn handle(&mut self, ws: &mut Workspace<P>, source: EventSource, ts: Timestamp, payload: P) {
         self.fold_checksum(&mut ws.enc, source, ts, &payload);
-        self.call(ws, ts, |comp, ctx| comp.on_event(source, payload, ctx));
+        self.call(ts, |comp, ctx| comp.on_event(source, payload, ctx));
         self.delivered += 1;
     }
 
-    /// Run one handler at `now`, then stage its sends and queue its
-    /// self-events.
-    fn call(
-        &mut self,
-        ws: &mut Workspace<P>,
-        now: Timestamp,
-        f: impl FnOnce(&mut dyn Component<P>, &mut Ctx<'_, P>),
-    ) {
-        let mut dropped = 0u64;
-        {
-            let mut ctx = Ctx {
-                now,
-                horizon: self.horizon,
-                rng: &mut self.rng,
-                lookaheads: &self.lookaheads,
-                sent: &mut ws.sent,
-                self_sched: &mut ws.selfs,
-                dropped: &mut dropped,
-            };
-            f(&mut *self.comp, &mut ctx);
-        }
-        self.dropped += dropped;
-        for (link, ts, payload) in ws.sent.drain(..) {
-            self.staged_seq += 1;
-            self.staged[link].push(Staged {
-                ts,
-                seq: self.staged_seq,
-                payload,
-            });
-        }
-        for (at, payload) in ws.selfs.drain(..) {
-            self.self_seq += 1;
-            let ev = ws.arena.alloc(Event::new(at, payload));
-            self.self_heap.push(SelfEv {
-                at,
-                seq: self.self_seq,
-                ev,
-            });
-        }
+    /// Run one handler at `now`; its sends land on the link staging
+    /// heaps and its self-schedules on the self heap as it emits them.
+    fn call(&mut self, now: Timestamp, f: impl FnOnce(&mut dyn Component<P>, &mut Ctx<'_, P>)) {
+        let mut ctx = Ctx {
+            now,
+            horizon: self.horizon,
+            rng: &mut self.rng,
+            links: &mut self.links,
+            self_heap: &mut self.self_heap,
+            seq: &mut self.seq,
+            dropped: &mut self.dropped,
+        };
+        f(&mut *self.comp, &mut ctx);
     }
 
     /// Release staged emissions proven final and advance promises.
     fn flush(&mut self, clock: Timestamp, out: &mut Vec<OutMsg<P>>) {
-        for ix in 0..self.out.len() {
-            let OutLink {
-                dst,
-                dst_port: port,
-                lookahead,
-            } = self.out[ix];
-            if self.promised[ix] == NULL_TS {
-                debug_assert!(self.staged[ix].is_empty(), "emission after terminal NULL");
+        for link in &mut self.links {
+            let (dst, port) = (link.dst, link.dst_port);
+            if link.promised == NULL_TS {
+                debug_assert!(link.staged.is_empty(), "emission after terminal NULL");
                 continue;
             }
-            let limit = if clock == NULL_TS {
-                NULL_TS
-            } else {
-                clock.saturating_add(lookahead)
-            };
+            // `NULL_TS` is `u64::MAX`: an exhausted clock releases all.
+            let limit = clock.saturating_add(link.lookahead);
             let mut released = false;
-            loop {
-                let ready = match self.staged[ix].peek() {
-                    Some(top) => limit == NULL_TS || top.ts <= limit,
-                    None => false,
-                };
-                if !ready {
-                    break;
-                }
-                let s = self.staged[ix].pop().expect("peeked");
+            while link.staged.peek().is_some_and(|top| top.ts <= limit) {
+                let s = link.staged.pop().expect("peeked");
                 out.push(OutMsg::Event {
                     dst,
                     port,
@@ -405,10 +375,10 @@ impl<P: Payload> CompCore<P> {
                 });
                 released = true;
             }
-            if limit == NULL_TS || limit >= self.horizon {
+            if limit >= self.horizon {
                 out.push(OutMsg::Null { dst, port });
-                self.promised[ix] = NULL_TS;
-            } else if limit > self.promised[ix] {
+                link.promised = NULL_TS;
+            } else if limit > link.promised {
                 match out.last_mut() {
                     // The last message out is this link's last event:
                     // the promise rides on it.
@@ -419,11 +389,13 @@ impl<P: Payload> CompCore<P> {
                         ts: limit,
                     }),
                 }
-                self.promised[ix] = limit;
+                link.promised = limit;
             }
         }
     }
 
+    /// Fold `(ts, source, payload bytes)` into the checksum: `ts`, then
+    /// a source tag (0 plus the port index, or 1), then the payload.
     fn fold_checksum(
         &mut self,
         enc: &mut Vec<u8>,
@@ -431,36 +403,31 @@ impl<P: Payload> CompCore<P> {
         ts: Timestamp,
         payload: &P,
     ) {
+        let mut h = fnv(self.checksum, &ts.to_le_bytes());
+        h = match source {
+            EventSource::Port(p) => fnv(fnv(h, &[0]), &(p as u64).to_le_bytes()),
+            EventSource::SelfTimer => fnv(h, &[1]),
+        };
         enc.clear();
-        enc.extend_from_slice(&ts.to_le_bytes());
-        match source {
-            EventSource::Port(p) => {
-                enc.push(0);
-                enc.extend_from_slice(&(p as u64).to_le_bytes());
-            }
-            EventSource::SelfTimer => enc.push(1),
-        }
         payload.encode(enc);
-        let mut h = self.checksum;
-        for &b in enc.iter() {
-            h ^= b as u64;
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-        self.checksum = h;
+        self.checksum = fnv(h, enc);
     }
+}
+
+/// FNV-1a step over `bytes`, from state `h`.
+#[inline]
+fn fnv(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(FNV_PRIME);
+    }
+    h
 }
 
 /// Fold per-component checksums (in component-id order) into one run
 /// checksum.
 pub(crate) fn fold_run_checksum(comp_checksums: impl Iterator<Item = u64>) -> u64 {
-    let mut h = FNV_OFFSET;
-    for c in comp_checksums {
-        for &b in &c.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-    }
-    h
+    comp_checksums.fold(FNV_OFFSET, |h, c| fnv(h, &c.to_le_bytes()))
 }
 
 #[cfg(test)]
@@ -574,11 +541,7 @@ mod tests {
     #[test]
     fn the_promise_rides_on_the_last_released_event() {
         let mut ws = Workspace::new();
-        let link = OutLink {
-            dst: 0,
-            dst_port: 0,
-            lookahead: 5,
-        };
+        let link = LinkOut::new(0, 0, 5);
         let mut sender = CompCore::new(1, Box::new(Burst(vec![7, 5])), 7, 100, 1, vec![link]);
         let mut receiver = core(1);
         let mut out = Vec::new();
@@ -603,5 +566,126 @@ mod tests {
         sender.deliver(&mut ws, promise(0, 12));
         sender.activate(&mut ws, &mut out);
         assert!(matches!(out[..], [OutMsg::Promise { ts: 17, .. }]));
+    }
+
+    /// Answers an event carrying `n` with `n` sends on out link 0, all
+    /// arriving at time 12, numbered `10 n + i`.
+    struct Fan;
+    impl Component<u64> for Fan {
+        fn on_event(&mut self, _s: EventSource, n: u64, ctx: &mut Ctx<'_, u64>) {
+            for i in 0..n {
+                ctx.send(0, 12 - ctx.now(), 10 * n + i);
+            }
+        }
+    }
+
+    #[test]
+    fn same_timestamp_sends_leave_in_emission_order() {
+        let mut ws = Workspace::new();
+        let mut c = CompCore::new(1, Box::new(Fan), 7, 100, 1, vec![LinkOut::new(0, 0, 5)]);
+        let mut out = Vec::new();
+        // Clock 3: the event at 2 stages 30, 31, 32 at 12, past the
+        // release limit 3 + 5.
+        c.deliver(&mut ws, event(0, 2, 3));
+        c.deliver(&mut ws, promise(0, 3));
+        assert_eq!(c.activate(&mut ws, &mut out), 1);
+        assert!(out.iter().all(|m| !matches!(m, OutMsg::Event { .. })));
+        out.clear();
+        // A later activation stages 10 at the same time 12; the exhausted
+        // clock then releases everything.
+        c.deliver(&mut ws, event(0, 4, 1));
+        c.deliver(&mut ws, null(0));
+        assert_eq!(c.activate(&mut ws, &mut out), 1);
+        let released: Vec<(Timestamp, u64)> = out
+            .iter()
+            .filter_map(|m| match m {
+                OutMsg::Event { ev, .. } => Some((ev.time, ev.value)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(released, vec![(12, 30), (12, 31), (12, 32), (12, 10)]);
+        assert!(matches!(out.last(), Some(OutMsg::Null { .. })));
+    }
+
+    /// Schedules `start` on itself at time 0, answers every port event
+    /// with a self-event one tick later carrying `payload + 100`, and
+    /// reports what it handled as observables `("time", payload)`.
+    struct Log {
+        start: Vec<(u64, u64)>,
+        got: Vec<(Timestamp, u64)>,
+    }
+    impl Component<u64> for Log {
+        fn on_start(&mut self, ctx: &mut Ctx<'_, u64>) {
+            for &(delay, p) in &self.start {
+                ctx.schedule_self(delay, p);
+            }
+        }
+        fn on_event(&mut self, s: EventSource, p: u64, ctx: &mut Ctx<'_, u64>) {
+            self.got.push((ctx.now(), p));
+            if let EventSource::Port(_) = s {
+                ctx.schedule_self(1, p + 100);
+            }
+        }
+        fn observables(&self, out: &mut Vec<(String, u64)>) {
+            out.extend(self.got.iter().map(|&(t, p)| (t.to_string(), p)));
+        }
+    }
+
+    fn log_core(in_count: usize, start: Vec<(u64, u64)>) -> CompCore<u64> {
+        let log = Log {
+            start,
+            got: Vec::new(),
+        };
+        CompCore::new(0, Box::new(log), 7, 100, in_count, Vec::new())
+    }
+
+    fn handled(c: &CompCore<u64>) -> Vec<(String, u64)> {
+        let mut got = Vec::new();
+        c.observables(&mut got);
+        got
+    }
+
+    fn log(entries: &[(Timestamp, u64)]) -> Vec<(String, u64)> {
+        entries.iter().map(|&(t, p)| (t.to_string(), p)).collect()
+    }
+
+    #[test]
+    fn same_time_self_events_run_in_schedule_order() {
+        let mut ws = Workspace::new();
+        let mut c = log_core(0, vec![(5, 1), (3, 9), (5, 2), (5, 3)]);
+        let mut out = Vec::new();
+        assert_eq!(c.activate(&mut ws, &mut out), 4);
+        assert_eq!(handled(&c), log(&[(3, 9), (5, 1), (5, 2), (5, 3)]));
+        assert!(c.is_done());
+        assert_eq!(c.pending_self_events(), 0);
+    }
+
+    #[test]
+    fn a_due_self_event_joins_the_same_activation() {
+        let mut ws = Workspace::new();
+        let mut c = log_core(1, Vec::new());
+        let mut out = Vec::new();
+        c.deliver(&mut ws, event(0, 2, 1));
+        c.deliver(&mut ws, event(0, 5, 2));
+        c.deliver(&mut ws, promise(0, 6));
+        // The event at 2 schedules 101 at 3, below both the clock and the
+        // next port event: it runs between them in this activation. The
+        // event at 5 schedules 102 at 6, which waits for the clock.
+        assert_eq!(c.activate(&mut ws, &mut out), 3);
+        assert_eq!(handled(&c), log(&[(2, 1), (3, 101), (5, 2)]));
+        assert_eq!(c.pending_self_events(), 1);
+        c.deliver(&mut ws, null(0));
+        assert_eq!(c.activate(&mut ws, &mut out), 1);
+        assert_eq!(c.pending_self_events(), 0);
+    }
+
+    #[test]
+    fn hot_structs_keep_their_size() {
+        use crate::phold::PholdToken;
+        use std::mem::size_of;
+        // What every event copies through the heaps and the fabric.
+        assert_eq!(size_of::<OutMsg<PholdToken>>(), 56);
+        assert_eq!(size_of::<SelfEv<PholdToken>>(), 32);
+        assert_eq!(size_of::<Staged<PholdToken>>(), 32);
     }
 }
