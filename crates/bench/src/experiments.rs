@@ -24,6 +24,7 @@ pub const EXPERIMENTS: &[Experiment] = &[
     Experiment { name: "fig6", summary: "execution time and speedup vs workers (ks128)" },
     Experiment { name: "fig7", summary: "mean execution time ± 95% CI at max workers" },
     Experiment { name: "ablation", summary: "ablation of the §4.5 optimizations" },
+    Experiment { name: "paper", summary: "gate: hj faster at 2 workers than at 1 and than seq" },
     Experiment { name: "shard", summary: "sharded engine partition quality and cut traffic" },
     Experiment { name: "rebalance", summary: "dynamic shard rebalancing under skew" },
     Experiment { name: "net", summary: "distributed fabric: sockets loopback run" },

@@ -25,13 +25,16 @@
 //! * each node's core (latches, temp queue, waveform) is accessed only by
 //!   the task holding the node's claim flag (at most one at a time);
 //! * clocks/head timestamps/claim flags are atomics with SeqCst ordering
-//!   where the producer↔retiring-consumer handoff needs it.
+//!   where the producer↔retiring-consumer handoff needs it;
+//! * run counters are task-local: each task counts into its own
+//!   [`SimStats`] tally and merges it once, under the one `totals` mutex,
+//!   when it retires. Nothing shared is written per event.
 
 use std::cell::UnsafeCell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use circuit::{Circuit, DelayModel, NodeId, NodeKind, PortIx, Stimulus, Target};
@@ -212,6 +215,9 @@ impl Engine for HjEngine {
         match error {
             None => {
                 let output = sim.into_output();
+                // Tasks publish progress once, and only after a node run.
+                #[cfg(debug_assertions)]
+                assert!(ctl.publications() <= output.stats.node_runs, "per-event publications");
                 output
                     .stats
                     .publish_ranked(recorder, &self.name(), self.rank, wall_start.elapsed());
@@ -337,14 +343,8 @@ struct ParSim<'a> {
     locks: Arc<LockRegistry>,
     fault: Arc<FaultPlan>,
     ctl: Arc<RunCtl>,
-    // Run-wide counters (relaxed; aggregated into SimStats at the end).
-    events_delivered: AtomicU64,
-    events_processed: AtomicU64,
-    nulls_sent: AtomicU64,
-    node_runs: AtomicU64,
-    wasted: AtomicU64,
-    lock_retries: AtomicU64,
-    backoff_waits: AtomicU64,
+    /// Every retired task's tally, merged once per task.
+    totals: Mutex<SimStats>,
     /// Shared by all tasks (they migrate freely across pool threads, so
     /// a single multi-producer ring is the honest attribution).
     probe: RunProbe,
@@ -452,13 +452,7 @@ impl<'a> ParSim<'a> {
             locks: Arc::new(LockRegistry::new(next as usize)),
             fault,
             ctl,
-            events_delivered: AtomicU64::new(0),
-            events_processed: AtomicU64::new(0),
-            nulls_sent: AtomicU64::new(0),
-            node_runs: AtomicU64::new(0),
-            wasted: AtomicU64::new(0),
-            lock_retries: AtomicU64::new(0),
-            backoff_waits: AtomicU64::new(0),
+            totals: Mutex::new(SimStats::default()),
             probe: RunProbe::with_rank(recorder, engine, "hj-tasks", rank),
         }
     }
@@ -500,19 +494,22 @@ impl<'a> ParSim<'a> {
         clock == NULL_TS && min_head == EMPTY && !node.null_sent.load(Ordering::SeqCst)
     }
 
+    /// Merge a retiring task's tally into the run totals and report its
+    /// progress. A task that ran no node must not tick: a run whose every
+    /// task wastes itself is the stall the watchdog exists to catch.
+    fn retire(&self, tally: &SimStats) {
+        let work = tally.node_runs + tally.events_delivered + tally.nulls_sent;
+        if work > 0 {
+            self.ctl.tick_n(work);
+        }
+        self.totals.lock().unwrap_or_else(PoisonError::into_inner).merge(tally);
+    }
+
     fn into_output(self) -> SimOutput {
         // The finish scope has quiesced: we have exclusive access again.
         let stats = SimStats {
-            events_delivered: self.events_delivered.load(Ordering::Relaxed),
-            events_processed: self.events_processed.load(Ordering::Relaxed),
-            nulls_sent: self.nulls_sent.load(Ordering::Relaxed),
-            node_runs: self.node_runs.load(Ordering::Relaxed),
-            wasted_activations: self.wasted.load(Ordering::Relaxed),
             lock_failures: self.locks.stats().failed + self.fault.injected().lock_failures,
-            aborts: 0,
-            lock_retries: self.lock_retries.load(Ordering::Relaxed),
-            backoff_waits: self.backoff_waits.load(Ordering::Relaxed),
-            ..SimStats::default()
+            ..self.totals.into_inner().unwrap_or_else(PoisonError::into_inner)
         };
         let nodes = self.nodes;
         for (i, node) in nodes.iter().enumerate() {
@@ -581,7 +578,7 @@ fn schedule<'s, 'e>(sim: &'e ParSim<'e>, scope: &'s Scope<'s, 'e>, id: NodeId) {
 fn pump<'s, 'e>(sim: &'e ParSim<'e>, scope: &'s Scope<'s, 'e>, id: NodeId, pre_claimed: bool) {
     if !pre_claimed && !sim.claim(id) {
         // Another task is running this node; its exit re-check covers us.
-        sim.wasted.fetch_add(1, Ordering::Relaxed);
+        sim.retire(&SimStats { wasted_activations: 1, ..SimStats::default() });
         return;
     }
     if sim.fault.is_active() {
@@ -600,11 +597,13 @@ fn pump<'s, 'e>(sim: &'e ParSim<'e>, scope: &'s Scope<'s, 'e>, id: NodeId, pre_c
             std::thread::sleep(delay);
         }
     }
-    run_claimed(sim, scope, id);
+    let mut tally = SimStats::default();
+    run_claimed(sim, scope, id, &mut tally);
     sim.unclaim(id);
     // Exit re-check: events may have arrived while we were running (their
     // producers saw our claim and left responsibility with us).
     schedule(sim, scope, id);
+    sim.retire(&tally);
 }
 
 /// Acquire a node's full lock plan with bounded retry + backoff. Each
@@ -613,14 +612,19 @@ fn pump<'s, 'e>(sim: &'e ParSim<'e>, scope: &'s Scope<'s, 'e>, id: NodeId, pre_c
 /// respawns under contention. Injected failures (fault plan) count like
 /// real contention. Returns false if the budget is exhausted or the run
 /// was cancelled — the caller retires to the claim/re-check protocol.
-fn acquire_locks(sim: &ParSim<'_>, locker: &mut Locker<'_>, plan: &[LockId]) -> bool {
+fn acquire_locks(
+    sim: &ParSim<'_>,
+    tally: &mut SimStats,
+    locker: &mut Locker<'_>,
+    plan: &[LockId],
+) -> bool {
     let backoff = Backoff::new();
     for attempt in 0..=MAX_LOCK_RETRIES {
         if sim.ctl.is_cancelled() {
             return false;
         }
         if attempt > 0 {
-            sim.lock_retries.fetch_add(1, Ordering::Relaxed);
+            tally.lock_retries += 1;
             sim.probe
                 .tracer()
                 .instant(SpanKind::TrylockRetry, plan.len() as u64, attempt as u64);
@@ -633,7 +637,7 @@ fn acquire_locks(sim: &ParSim<'_>, locker: &mut Locker<'_>, plan: &[LockId]) -> 
             return true;
         }
         if attempt < MAX_LOCK_RETRIES {
-            sim.backoff_waits.fetch_add(1, Ordering::Relaxed);
+            tally.backoff_waits += 1;
             sim.probe
                 .tracer()
                 .instant(SpanKind::Backoff, plan.len() as u64, attempt as u64);
@@ -644,7 +648,12 @@ fn acquire_locks(sim: &ParSim<'_>, locker: &mut Locker<'_>, plan: &[LockId]) -> 
 }
 
 /// Run one claimed node: trylock, drain, process, emit, release.
-fn run_claimed<'s, 'e>(sim: &'e ParSim<'e>, scope: &'s Scope<'s, 'e>, id: NodeId) {
+fn run_claimed<'s, 'e>(
+    sim: &'e ParSim<'e>,
+    scope: &'s Scope<'s, 'e>,
+    id: NodeId,
+    tally: &mut SimStats,
+) {
     if sim.fault.is_wedged() {
         // Deliberate wedge (watchdog tests): hold the claim and make no
         // progress until the watchdog cancels the run.
@@ -661,16 +670,15 @@ fn run_claimed<'s, 'e>(sim: &'e ParSim<'e>, scope: &'s Scope<'s, 'e>, id: NodeId
 
     if matches!(node.kind, NodeKind::Input) {
         // Inputs own no input-port locks; they only lock the fanout ports.
-        if !acquire_locks(sim, &mut locker, &node.lock_plan) {
-            sim.wasted.fetch_add(1, Ordering::Relaxed);
+        if !acquire_locks(sim, tally, &mut locker, &node.lock_plan) {
+            tally.wasted_activations += 1;
             return; // exit re-check in `pump` retries us
         }
-        sim.node_runs.fetch_add(1, Ordering::Relaxed);
+        tally.node_runs += 1;
         let span = sim.probe.begin(id.index());
-        let emitted = run_input(sim, id, &node.fanout);
+        let emitted = run_input(sim, tally, id);
         sim.probe.end(span, id.index(), emitted);
         locker.release_all();
-        sim.ctl.tick();
         for &(t, _) in node.fanout.iter() {
             schedule(sim, scope, t.node);
         }
@@ -678,11 +686,11 @@ fn run_claimed<'s, 'e>(sim: &'e ParSim<'e>, scope: &'s Scope<'s, 'e>, id: NodeId
     }
 
     // Ascending-ID acquisition over own ports + fanout ports (§4.3).
-    if !acquire_locks(sim, &mut locker, &node.lock_plan) {
-        sim.wasted.fetch_add(1, Ordering::Relaxed);
+    if !acquire_locks(sim, tally, &mut locker, &node.lock_plan) {
+        tally.wasted_activations += 1;
         return; // never block; exit re-check retries if still active
     }
-    sim.node_runs.fetch_add(1, Ordering::Relaxed);
+    tally.node_runs += 1;
     let span = sim.probe.begin(id.index());
 
     // SAFETY: we hold the claim.
@@ -739,8 +747,8 @@ fn run_claimed<'s, 'e>(sim: &'e ParSim<'e>, scope: &'s Scope<'s, 'e>, id: NodeId
     // Process the temporary queue (the paper's SIMULATE).
     let temp = std::mem::take(&mut core.temp);
     let drained_events = temp.len() as u64;
+    tally.events_processed += drained_events;
     for &(port, ev) in &temp {
-        sim.events_processed.fetch_add(1, Ordering::Relaxed);
         core.latch.set(port, ev.value);
         match node.kind {
             NodeKind::Output => core.waveform.record(ev),
@@ -748,7 +756,7 @@ fn run_claimed<'s, 'e>(sim: &'e ParSim<'e>, scope: &'s Scope<'s, 'e>, id: NodeId
                 let value = kind.eval(core.latch.values(kind.arity()));
                 let out = Event::new(ev.time + node.delay, value);
                 for &(t, _) in node.fanout.iter() {
-                    deliver(sim, t, out);
+                    deliver(sim, tally, t, out);
                 }
             }
             NodeKind::Input => unreachable!(),
@@ -765,13 +773,12 @@ fn run_claimed<'s, 'e>(sim: &'e ParSim<'e>, scope: &'s Scope<'s, 'e>, id: NodeId
         core.null_sent = true;
         node.null_sent.store(true, Ordering::SeqCst);
         for &(t, _) in node.fanout.iter() {
-            deliver_null(sim, t);
+            deliver_null(sim, tally, t);
         }
     }
 
     locker.release_all();
     sim.probe.end(span, id.index(), drained_events);
-    sim.ctl.tick();
 
     // Activity checks for the fanout (Alg. 2 l. 18-27). The exit re-check
     // in `pump` covers `id` itself.
@@ -782,7 +789,7 @@ fn run_claimed<'s, 'e>(sim: &'e ParSim<'e>, scope: &'s Scope<'s, 'e>, id: NodeId
 
 /// Emit an input node's whole stimulus, then NULL (paper §4.1). Fanout
 /// port locks are held by the caller. Returns the stimulus event count.
-fn run_input(sim: &ParSim<'_>, id: NodeId, fanout: &[(Target, LockId)]) -> u64 {
+fn run_input(sim: &ParSim<'_>, tally: &mut SimStats, id: NodeId) -> u64 {
     let node = &sim.nodes[id.index()];
     let input_ix = sim
         .circuit
@@ -793,15 +800,15 @@ fn run_input(sim: &ParSim<'_>, id: NodeId, fanout: &[(Target, LockId)]) -> u64 {
     let mut emitted = 0u64;
     for tv in sim.stimulus.input_events(input_ix) {
         emitted += 1;
-        sim.events_delivered.fetch_add(1, Ordering::Relaxed);
-        sim.events_processed.fetch_add(1, Ordering::Relaxed);
         let out = Event::new(tv.time + node.delay, tv.value);
-        for &(t, _) in fanout {
-            deliver(sim, t, out);
+        for &(t, _) in node.fanout.iter() {
+            deliver(sim, tally, t, out);
         }
     }
-    for &(t, _) in fanout {
-        deliver_null(sim, t);
+    tally.events_delivered += emitted;
+    tally.events_processed += emitted;
+    for &(t, _) in node.fanout.iter() {
+        deliver_null(sim, tally, t);
     }
     // SAFETY: we hold the claim of `id`.
     let core = unsafe { &mut *node.core.get() };
@@ -816,11 +823,8 @@ fn run_input(sim: &ParSim<'_>, id: NodeId, fanout: &[(Target, LockId)]) -> u64 {
 /// Deliver one payload event to `target`'s port. Caller holds the port's
 /// lock.
 #[inline]
-fn deliver(sim: &ParSim<'_>, target: Target, event: Event) {
-    sim.events_delivered.fetch_add(1, Ordering::Relaxed);
-    sim.probe
-        .hot_instant(SpanKind::EventDeliver, target.node.index() as u64, event.time);
-    sim.ctl.tick();
+fn deliver(sim: &ParSim<'_>, tally: &mut SimStats, target: Target, event: Event) {
+    tally.events_delivered += 1;
     let port = &sim.nodes[target.node.index()].ports[target.port as usize];
     debug_assert!(port.last_ts.load(Ordering::SeqCst) != NULL_TS, "event after NULL");
     // SAFETY: caller holds this port's registry lock.
@@ -837,11 +841,8 @@ fn deliver(sim: &ParSim<'_>, target: Target, event: Event) {
 /// Deliver the NULL message to `target`'s port. Caller holds the port's
 /// lock.
 #[inline]
-fn deliver_null(sim: &ParSim<'_>, target: Target) {
-    sim.nulls_sent.fetch_add(1, Ordering::Relaxed);
-    sim.probe
-        .hot_instant(SpanKind::NullSend, target.node.index() as u64, 0);
-    sim.ctl.tick();
+fn deliver_null(sim: &ParSim<'_>, tally: &mut SimStats, target: Target) {
+    tally.nulls_sent += 1;
     let port = &sim.nodes[target.node.index()].ports[target.port as usize];
     debug_assert!(port.last_ts.load(Ordering::SeqCst) != NULL_TS, "duplicate NULL");
     port.last_ts.store(NULL_TS, Ordering::SeqCst);
@@ -926,6 +927,23 @@ mod tests {
         let c = wallace_multiplier(6);
         let s = Stimulus::random_vectors(&c, 4, 5, 17);
         check_against_seq(&c, &s, 4);
+    }
+
+    /// Task-local tallies merged at retire count exactly what the
+    /// sequential engine counts; the publication bound in `try_run`
+    /// holds at two workers on a circuit with many events per node run.
+    #[test]
+    fn task_tallies_match_seq_on_ks64_at_two_workers() {
+        let c = kogge_stone_adder(64);
+        let s = Stimulus::random_vectors(&c, 40, 10, 0x5EED ^ 40);
+        let delays = DelayModel::standard();
+        let seq = SeqWorksetEngine::new().run(&c, &s, &delays).stats;
+        let par = HjEngine::from_config(&EngineConfig::default().with_workers(2))
+            .run(&c, &s, &delays)
+            .stats;
+        let simulated = |st: &SimStats| (st.events_delivered, st.events_processed, st.nulls_sent);
+        assert_eq!(simulated(&par), simulated(&seq));
+        assert!(par.node_runs > 0 && par.node_runs < par.events_delivered);
     }
 
     #[test]

@@ -732,9 +732,9 @@ pub(crate) struct ShardCore<'a, L: Link> {
     /// Index into `circuit.inputs()` per node index (`u32::MAX` for
     /// nodes that are not inputs).
     input_ix: Vec<u32>,
-    /// Progress made by the current node run, reported to `ctl` once
-    /// when the run ends: the counter's cache line is shared by every
-    /// shard, so it is not touched per event.
+    /// Progress not yet reported to `ctl`, published when a node run ends
+    /// and before a blocking wait: the counter's cache line is shared by
+    /// every shard, so it is not touched per event or per message.
     ticks: u64,
     stats: SimStats,
     temp: Vec<(PortIx, Event)>,
@@ -991,11 +991,12 @@ impl<'a, L: Link> ShardCore<'a, L> {
         }
     }
 
-    /// Hand the link's coalesced traffic over before a blocking wait — a
-    /// peer may be waiting for exactly what it still holds — and say how
-    /// long the wait may be: a full idle period when everything went
-    /// out, a short poll when a full destination held some of it back.
+    /// Publish pending progress and hand the link's coalesced traffic over
+    /// before a blocking wait (a peer may be waiting for what it still
+    /// holds); the wait is a full idle period when everything went out, a
+    /// short poll when a full destination held some of it back.
     fn flush_before_wait(&mut self) -> Result<Duration, Stopped> {
+        self.ctl.tick_n(std::mem::take(&mut self.ticks));
         match self.link.flush() {
             Ok(true) => Ok(IDLE_RECV_TIMEOUT),
             Ok(false) => Ok(BACKLOGGED_RECV_TIMEOUT),
@@ -1180,7 +1181,7 @@ impl<'a, L: Link> ShardCore<'a, L> {
                 self.stats.events_delivered += 1;
                 self.probe
                     .hot_instant(SpanKind::EventDeliver, target.node.index() as u64, time);
-                self.ctl.tick();
+                self.ticks += 1;
                 self.nodes[target.node.index()]
                     .as_mut()
                     .expect("owned node")
@@ -1199,7 +1200,7 @@ impl<'a, L: Link> ShardCore<'a, L> {
                 let port = &mut self.node_mut(target.node).ports[target.port as usize];
                 if time == NULL_TS {
                     port.push_null();
-                    self.ctl.tick();
+                    self.ticks += 1;
                 } else {
                     // Lookahead promise: advance the port clock only.
                     port.advance_clock(time);

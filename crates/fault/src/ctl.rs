@@ -8,8 +8,13 @@ use crate::SimError;
 /// Run control shared between an engine's workers, its watchdog, and the
 /// `try_run` caller.
 ///
-/// * Workers call [`tick`](RunCtl::tick) on every unit of real progress
-///   (an event delivered, a lock released after useful work, ...).
+/// * Workers publish progress with [`tick`](RunCtl::tick) /
+///   [`tick_n`](RunCtl::tick_n) once per unit of work (a node run, a
+///   sweep, a committed iteration), not once per delivered event, and
+///   never for a unit that did none: a worker that only spins must leave
+///   the counter still so the watchdog can see the stall. Debug builds
+///   count publications ([`publications`](RunCtl::publications)) so
+///   engines can assert it.
 /// * The watchdog or a failing worker calls [`cancel`](RunCtl::cancel);
 ///   worker loops poll [`is_cancelled`](RunCtl::is_cancelled) at their
 ///   retry/reschedule points and retire, letting the run drain cleanly.
@@ -19,6 +24,8 @@ use crate::SimError;
 #[derive(Debug, Default)]
 pub struct RunCtl {
     progress: AtomicU64,
+    #[cfg(debug_assertions)]
+    publications: AtomicU64,
     cancelled: AtomicBool,
     error: Mutex<Option<SimError>>,
 }
@@ -30,12 +37,22 @@ impl RunCtl {
 
     /// Record one unit of forward progress.
     pub fn tick(&self) {
-        self.progress.fetch_add(1, Ordering::Relaxed);
+        self.tick_n(1);
     }
 
     /// Record `n` units of forward progress.
     pub fn tick_n(&self, n: u64) {
         self.progress.fetch_add(n, Ordering::Relaxed);
+        #[cfg(debug_assertions)]
+        self.publications.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// How many times progress was published (`tick`/`tick_n` calls).
+    /// Debug builds only: it exists to bound how often engines write the
+    /// shared counter, not to measure anything.
+    #[cfg(debug_assertions)]
+    pub fn publications(&self) -> u64 {
+        self.publications.load(Ordering::Relaxed)
     }
 
     /// Current progress counter value.
@@ -104,5 +121,14 @@ mod tests {
         ctl.tick();
         ctl.tick_n(4);
         assert_eq!(ctl.progress(), 5);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn publications_count_calls_not_units() {
+        let ctl = RunCtl::new();
+        ctl.tick();
+        ctl.tick_n(40);
+        assert_eq!(ctl.publications(), 2);
     }
 }
