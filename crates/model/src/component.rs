@@ -6,7 +6,7 @@ use std::collections::BinaryHeap;
 use des::{Timestamp, NULL_TS};
 
 use crate::rng::DetRng;
-use crate::runtime::{LinkOut, SelfEv, Staged};
+use crate::runtime::{LinkOut, OutMsg, Pending, SELF_SRC};
 
 /// An opaque event payload exchanged between components.
 ///
@@ -77,18 +77,20 @@ pub trait Component<P: Payload>: Send {
 /// The handler context: simulation time, the component's RNG, and the
 /// two emission primitives.
 ///
-/// Emissions are *staged*, not sent: the runtime releases a staged send
-/// only once the conservative protocol proves no earlier emission can
-/// still occur on that link (see the crate docs' determinism contract),
-/// so handlers are free to emit with non-monotone delays.
+/// A send leaves at once, numbered by the component's emission counter;
+/// the receiver orders what it gets by `(time, port, emission)` (see the
+/// crate docs' determinism contract), so handlers are free to emit with
+/// non-monotone delays.
 pub struct Ctx<'a, P: Payload> {
     pub(crate) now: Timestamp,
     pub(crate) horizon: Timestamp,
     pub(crate) rng: &'a mut DetRng,
-    /// The component's out links; a send lands on the link's staging
-    /// heap.
-    pub(crate) links: &'a mut [LinkOut<P>],
-    pub(crate) self_heap: &'a mut BinaryHeap<SelfEv<P>>,
+    /// The component's out links.
+    pub(crate) links: &'a mut [LinkOut],
+    /// The component's pending heap, where self-schedules land.
+    pub(crate) pending: &'a mut BinaryHeap<Pending<P>>,
+    /// The running activation's messages, where sends land.
+    pub(crate) out: &'a mut Vec<OutMsg<P>>,
     /// The core's emission counter, bumped by every send and
     /// self-schedule.
     pub(crate) seq: &'a mut u64,
@@ -138,29 +140,37 @@ impl<P: Payload> Ctx<'_, P> {
     /// that makes conservative parallel execution possible.
     #[inline]
     pub fn send(&mut self, link: usize, delay: u64, payload: P) {
-        let out = &mut self.links[link];
+        let l = &mut self.links[link];
         assert!(
-            delay >= out.lookahead,
+            delay >= l.lookahead,
             "send on link {link} with delay {delay} below its lookahead {}",
-            out.lookahead
+            l.lookahead
         );
         let ts = self.now.saturating_add(delay);
         if ts >= self.horizon || ts == NULL_TS {
             *self.dropped += 1;
             return;
         }
+        debug_assert!(
+            !l.is_closed(),
+            "send on link {link} after its terminal NULL"
+        );
         *self.seq += 1;
-        out.staged.push(Staged {
+        l.last = self.out.len();
+        self.out.push(OutMsg::Event {
+            dst: l.dst,
+            port: l.dst_port,
             ts,
             seq: *self.seq,
+            then: 0,
             payload,
         });
     }
 
     /// Schedule an event on this component itself, `delay >= 1` ticks
-    /// from now. Self-events live in a local heap, not on a link, so no
-    /// lookahead applies — but zero delays are rejected to keep every
-    /// timeline finitely terminating.
+    /// from now. Self-events wait in the component's own heap, not on a
+    /// link, so no lookahead applies — but zero delays are rejected to
+    /// keep every timeline finitely terminating.
     #[inline]
     pub fn schedule_self(&mut self, delay: u64, payload: P) {
         assert!(delay >= 1, "self-schedule delay must be >= 1");
@@ -170,8 +180,9 @@ impl<P: Payload> Ctx<'_, P> {
             return;
         }
         *self.seq += 1;
-        self.self_heap.push(SelfEv {
-            at,
+        self.pending.push(Pending {
+            ts: at,
+            src: SELF_SRC,
             seq: *self.seq,
             payload,
         });

@@ -16,7 +16,7 @@ use shard::comm::{fabric, Mailbox, RecvTimeoutError, TrySendError};
 
 use crate::component::Payload;
 use crate::graph::{Link, ModelGraph};
-use crate::runtime::{fold_run_checksum, CompCore, LinkOut, OutMsg, Workspace};
+use crate::runtime::{fold_run_checksum, CompCore, LinkOut, OutMsg};
 
 /// Names accepted by [`run`]/[`try_run`].
 pub const MODEL_ENGINE_NAMES: [&str; 2] = ["model-seq", "model-sharded"];
@@ -220,19 +220,14 @@ fn lower<P: Payload>(
         .collect()
 }
 
-/// The end-of-run leak check: every event a thread's slab ever held,
-/// and every self-event its cores scheduled, was handled by the time
-/// its components are done.
-fn check_drained<P: Payload>(
-    engine: &str,
-    ws: &Workspace<P>,
-    cores: &[CompCore<P>],
-) -> Result<(), SimError> {
-    let pending: usize = cores.iter().map(CompCore::pending_self_events).sum();
-    match ws.arena.live() + pending {
+/// The end-of-run leak check: every event that reached a core's pending
+/// heap, sent or self-scheduled, was handled by the time its components
+/// are done.
+fn check_drained<P: Payload>(engine: &str, cores: &[CompCore<P>]) -> Result<(), SimError> {
+    match cores.iter().map(CompCore::pending_events).sum() {
         0 => Ok(()),
         n => Err(SimError::invariant(format!(
-            "{engine}: {n} events left in the event slab or a self-event heap after a clean run"
+            "{engine}: {n} events left in a pending heap after a clean run"
         ))),
     }
 }
@@ -284,7 +279,7 @@ impl SeqModelEngine {
     ) -> Result<(Vec<CompCore<P>>, ModelStats), SimError> {
         let fault = self.cfg.fault();
         let tracer = recorder.tracer("model-seq");
-        let mut ws = Workspace::new();
+        let mut enc = Vec::new();
         let mut stats = ModelStats::default();
         let mut out: Vec<OutMsg<P>> = Vec::new();
         while !ctl.is_cancelled() {
@@ -308,7 +303,7 @@ impl SeqModelEngine {
                     (recorder.is_enabled() && stats.activations & HOT_SAMPLE_MASK == 0)
                         .then(Instant::now);
                 let core = &mut cores[i];
-                let handled = catch_unwind(AssertUnwindSafe(|| core.activate(&mut ws, &mut out)))
+                let handled = catch_unwind(AssertUnwindSafe(|| core.activate(&mut enc, &mut out)))
                     .map_err(|payload| SimError::from_panic(Some(i), &*payload))?;
                 if let Some(start) = sampled {
                     tracer.complete(SpanKind::NodeRun, i as u64, handled, start);
@@ -318,12 +313,12 @@ impl SeqModelEngine {
                 stats.msgs_routed += out.len() as u64;
                 progress += handled + out.len() as u64;
                 for msg in out.drain(..) {
-                    cores[msg.dst()].deliver(&mut ws, msg);
+                    cores[msg.dst()].deliver(msg);
                 }
             }
             ctl.tick_n(progress);
             if cores.iter().all(|c| c.is_done()) {
-                check_drained("model-seq", &ws, &cores)?;
+                check_drained("model-seq", &cores)?;
                 break;
             }
             if progress == 0 {
@@ -340,7 +335,7 @@ impl SeqModelEngine {
 /// shards ([`Partition::build_graph`] handles the cyclic graphs the
 /// circuit partitioner never sees), run by [`ShardThreads`] — shards 0
 /// to K−2 on scoped threads, shard K−1 on the calling thread, each
-/// pinned before it builds its event slab — with cross-shard traffic
+/// pinned before it starts — with cross-shard traffic
 /// over the bounded, batched mailboxes of [`shard::comm`]: a sweep over
 /// the shard's components stages what it sends and hands it over a
 /// batch at a time.
@@ -396,12 +391,10 @@ impl ShardedModelEngine {
 
         let items: Vec<_> = shard_cores.into_iter().zip(mailboxes).collect();
         let ran = threads.run(&ctl, items, |(local, mailbox)| {
-            // Built on the shard's (already pinned) thread, so its event
-            // slab is first-touched there.
             let shard = ModelShard {
                 tracer: recorder.tracer(&format!("model-shard-{}", mailbox.shard())),
                 local,
-                ws: Workspace::new(),
+                enc: Vec::new(),
                 mailbox,
                 assignment: Arc::clone(&assignment),
                 g2l: Arc::clone(&g2l),
@@ -445,11 +438,11 @@ enum Halt {
     Failed(SimError),
 }
 
-/// One shard thread's state: its components, the one event slab and
-/// scratch set they share, and its end of the fabric.
+/// One shard thread's state: its components, the checksum scratch they
+/// share, and its end of the fabric.
 struct ModelShard<P: Payload> {
     local: Vec<CompCore<P>>,
-    ws: Workspace<P>,
+    enc: Vec<u8>,
     mailbox: Mailbox<OutMsg<P>>,
     /// Component id → owning shard, and → index in that shard's `local`.
     assignment: Arc<Vec<usize>>,
@@ -507,8 +500,8 @@ impl<P: Payload> ModelShard<P> {
                 let gid = self.local[li].id;
                 let sampled = (recorder.is_enabled() && done.activations & HOT_SAMPLE_MASK == 0)
                     .then(Instant::now);
-                let (core, ws) = (&mut self.local[li], &mut self.ws);
-                let n = match catch_unwind(AssertUnwindSafe(|| core.activate(ws, &mut out))) {
+                let (core, enc) = (&mut self.local[li], &mut self.enc);
+                let n = match catch_unwind(AssertUnwindSafe(|| core.activate(enc, &mut out))) {
                     Ok(n) => n,
                     Err(payload) => {
                         break 'run Err(Halt::Failed(SimError::from_panic(Some(gid), &*payload)))
@@ -542,7 +535,7 @@ impl<P: Payload> ModelShard<P> {
             self.ctl.tick_n(handled + routed + moved);
 
             if self.local.iter().all(|c| c.is_done()) {
-                break check_drained("model-sharded", &self.ws, &self.local).map_err(Halt::Failed);
+                break check_drained("model-sharded", &self.local).map_err(Halt::Failed);
             }
             if handled == 0 && routed == 0 && moved == 0 {
                 // Nothing local to do: block briefly for upstream traffic,
@@ -583,7 +576,7 @@ impl<P: Payload> ModelShard<P> {
 
     fn deliver_local(&mut self, msg: OutMsg<P>) {
         let li = self.g2l[msg.dst()];
-        self.local[li].deliver(&mut self.ws, msg);
+        self.local[li].deliver(msg);
     }
 
     /// Take everything published to this shard's inbox.
@@ -655,8 +648,8 @@ impl<P: Payload> ModelShard<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use des::Event;
 
+    use crate::runtime::SELF_SRC;
     use crate::{Component, Ctx, EventSource};
 
     struct Idle;
@@ -664,12 +657,14 @@ mod tests {
         fn on_event(&mut self, _s: EventSource, _p: u64, _ctx: &mut Ctx<'_, u64>) {}
     }
 
-    #[test]
-    fn an_undrained_slab_fails_the_run() {
-        let mut ws = Workspace::new();
-        assert!(check_drained("model-seq", &ws, &[]).is_ok());
-        ws.arena.alloc(Event::new(3, 0u64));
-        match check_drained("model-seq", &ws, &[]) {
+    /// Run the leak check over one core left done with an event at 5
+    /// from `src` still queued.
+    fn check_stranded(src: usize) {
+        let mut core = CompCore::new(0, Box::new(Idle), 7, 100, 1, Vec::new());
+        assert!(check_drained("model-seq", std::slice::from_ref(&core)).is_ok());
+        core.strand_event(5, src, 9);
+        assert!(core.is_done());
+        match check_drained("model-seq", &[core]) {
             Err(SimError::InvariantViolation { context }) => {
                 assert!(context.contains("1 events left"), "{context}")
             }
@@ -678,20 +673,12 @@ mod tests {
     }
 
     #[test]
+    fn an_event_left_in_a_cores_heap_fails_the_run() {
+        check_stranded(0);
+    }
+
+    #[test]
     fn a_pending_self_event_fails_the_run() {
-        let ws = Workspace::new();
-        let mut core = CompCore::new(0, Box::new(Idle), 7, 100, 0, Vec::new());
-        assert!(check_drained("model-seq", &ws, std::slice::from_ref(&core)).is_ok());
-        // A core left done with a self-event still queued: the slab is
-        // empty, since self-events never enter it.
-        core.strand_self_event(5, 9);
-        assert!(core.is_done());
-        assert_eq!(ws.arena.live(), 0);
-        match check_drained("model-seq", &ws, &[core]) {
-            Err(SimError::InvariantViolation { context }) => {
-                assert!(context.contains("1 events left"), "{context}")
-            }
-            other => panic!("expected an invariant violation, got {other:?}"),
-        }
+        check_stranded(SELF_SRC);
     }
 }

@@ -6,8 +6,8 @@
 //! [`Component`] over an opaque [`Payload`], declares outbound links
 //! with per-link lookahead in a [`ModelGraph`], and the adapter lowers
 //! that graph onto the existing conservative machinery — components
-//! become nodes, links become input ports backed by `des`'s generic
-//! [`des::node::PortQueue`], and lookahead feeds the NULL-promise
+//! become nodes with one pending-event heap each, links become input
+//! ports with a receive clock each, and lookahead feeds the NULL-promise
 //! protocol. Configuration ([`des::EngineConfig`]), fault semantics
 //! ([`des::RunPolicy`]: injected panics surface as structured
 //! [`des::SimError`]s, wedged runs trip the watchdog) and sim-obs
@@ -35,12 +35,14 @@
 //!    local clock (min over input-port clocks) is strictly greater than
 //!    its timestamp, so a timestamp cohort is never split between
 //!    activations by message timing.
-//! 2. *Sender-side staging*: `ctx.send` parks emissions in a per-link
-//!    staging buffer; after each activation the runtime flushes, in
-//!    (time, emission) order, exactly the staged sends at or below
-//!    `clock + lookahead` — restoring the nondecreasing per-link FIFO
-//!    order the port queues require even when handlers emit with
-//!    non-monotone delays (PHOLD's signature behaviour).
+//! 2. *Receiver-side ordering*: `ctx.send` emissions leave at once,
+//!    numbered by the sender's emission counter, and each component
+//!    orders what it receives in one heap by (time, input port,
+//!    emission), self-events after every port — an order fixed by model
+//!    state even when handlers emit with non-monotone delays (PHOLD's
+//!    signature behaviour). Only a promise (`clock + lookahead`, sent
+//!    after each activation) raises a port's clock, never an event's
+//!    arrival.
 //! 3. *Per-component RNG*: every component owns a [`DetRng`] stream
 //!    seeded from (graph seed, component id) and draws from it only
 //!    inside its own handler, so trajectories are a pure function of

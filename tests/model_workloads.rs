@@ -253,19 +253,19 @@ impl Component<u64> for Burst {
     fn on_event(&mut self, _src: EventSource, _n: u64, _ctx: &mut Ctx<'_, u64>) {}
 }
 
-/// Hangs in its first handler for `hang`: a user bug that stops its
-/// shard from draining its inbox.
+/// Hangs in its start-up handler for `hang`: a user bug that stops its
+/// shard from draining its inbox. A hang in `on_event` would come too
+/// late: an event waits for its sender's promise, and a burst's sender
+/// promises nothing until its terminal NULL, which follows the burst.
 struct Hang {
     hang: Duration,
-    hung: bool,
 }
 
 impl Component<u64> for Hang {
-    fn on_event(&mut self, _src: EventSource, _n: u64, _ctx: &mut Ctx<'_, u64>) {
-        if !std::mem::replace(&mut self.hung, true) {
-            std::thread::sleep(self.hang);
-        }
+    fn on_start(&mut self, _ctx: &mut Ctx<'_, u64>) {
+        std::thread::sleep(self.hang);
     }
+    fn on_event(&mut self, _src: EventSource, _n: u64, _ctx: &mut Ctx<'_, u64>) {}
 }
 
 #[test]
@@ -281,7 +281,6 @@ fn stalled_receiver_shows_its_backlog_in_messages_not_batches() {
         "b",
         Hang {
             hang: Duration::from_millis(400),
-            hung: false,
         },
     );
     g.link(a, b, 1);
