@@ -27,8 +27,9 @@
 //! * clocks/head timestamps/claim flags are atomics with SeqCst ordering
 //!   where the producer↔retiring-consumer handoff needs it;
 //! * run counters are task-local: each task counts into its own
-//!   [`SimStats`] tally and merges it once, under the one `totals` mutex,
-//!   when it retires. Nothing shared is written per event.
+//!   [`SimStats`] tally (failed trylocks included) and merges it once,
+//!   under the one `totals` mutex, when it retires. Nothing shared is
+//!   written per event, and a trylock writes only the lock itself.
 
 use std::cell::UnsafeCell;
 use std::collections::VecDeque;
@@ -227,9 +228,7 @@ impl Engine for HjEngine {
                 // The scope has drained, so every RAII locker has dropped;
                 // a lock still held now would be a leak — report it as its
                 // own invariant breach rather than masking it.
-                let leaked: Vec<LockId> = (0..sim.locks.len() as LockId)
-                    .filter(|&l| sim.locks.is_locked(l))
-                    .collect();
+                let leaked = sim.locks.held();
                 if leaked.is_empty() {
                     Err(err)
                 } else {
@@ -268,10 +267,7 @@ fn stall_snapshot(
         .collect();
     let workset_size =
         obs.injector_depth + obs.worker_queue_depths.iter().sum::<usize>();
-    let held_locks: Vec<usize> = (0..locks.len() as LockId)
-        .filter(|&l| locks.is_locked(l))
-        .map(|l| l as usize)
-        .collect();
+    let held_locks: Vec<usize> = locks.held().into_iter().map(|l| l as usize).collect();
     let mut notes = vec![format!(
         "{} of {} workers parked",
         obs.sleeping_workers,
@@ -507,10 +503,8 @@ impl<'a> ParSim<'a> {
 
     fn into_output(self) -> SimOutput {
         // The finish scope has quiesced: we have exclusive access again.
-        let stats = SimStats {
-            lock_failures: self.locks.stats().failed + self.fault.injected().lock_failures,
-            ..self.totals.into_inner().unwrap_or_else(PoisonError::into_inner)
-        };
+        let mut stats = self.totals.into_inner().unwrap_or_else(PoisonError::into_inner);
+        stats.lock_failures += self.fault.injected().lock_failures;
         let nodes = self.nodes;
         for (i, node) in nodes.iter().enumerate() {
             debug_assert!(!node.claimed.load(Ordering::SeqCst), "node {i} still claimed");
@@ -633,8 +627,12 @@ fn acquire_locks(
                 .hot_instant(SpanKind::TrylockAttempt, plan.len() as u64, 0);
         }
         let injected = sim.fault.is_active() && sim.fault.should_fail_trylock();
-        if !injected && locker.try_lock_all(plan.iter().copied()).is_ok() {
-            return true;
+        if !injected {
+            if locker.try_lock_all(plan.iter().copied()).is_ok() {
+                return true;
+            }
+            // Injected failures are counted by the fault plan.
+            tally.lock_failures += 1;
         }
         if attempt < MAX_LOCK_RETRIES {
             tally.backoff_waits += 1;
@@ -960,6 +958,52 @@ mod tests {
         let out = engine.run(&c, &Stimulus::empty(5), &DelayModel::standard());
         assert_eq!(out.stats.events_delivered, 0);
         assert_eq!(out.stats.nulls_sent as usize, c.num_edges());
+    }
+
+    /// Each failed `try_lock_all` counts once in the task's tally: a lock
+    /// another task holds fails the first attempt and every retry.
+    #[test]
+    fn held_lock_fails_every_attempt_in_the_tally() {
+        let c = c17();
+        let s = Stimulus::random_vectors(&c, 2, 4, 1);
+        let delays = DelayModel::standard();
+        let sim = ParSim::new(
+            &c,
+            &s,
+            &delays,
+            HjEngineConfig::default(),
+            Arc::new(FaultPlan::none()),
+            Arc::new(RunCtl::new()),
+            Recorder::noop(),
+            "hj-test",
+            None,
+        );
+        let plan = &sim.nodes[c.inputs()[0].index()].lock_plan;
+        let mut holder = sim.locks.locker();
+        assert!(holder.try_lock(plan[0]));
+        let mut tally = SimStats::default();
+        let mut locker = sim.locks.locker();
+        assert!(!acquire_locks(&sim, &mut tally, &mut locker, plan));
+        assert_eq!(tally.lock_failures, u64::from(MAX_LOCK_RETRIES) + 1);
+        assert_eq!(tally.lock_retries, u64::from(MAX_LOCK_RETRIES));
+        assert!(locker.held().is_empty());
+        assert_eq!(sim.locks.held(), vec![plan[0]]);
+    }
+
+    /// One worker has no real contention, so every counted lock failure
+    /// is an injected one.
+    #[test]
+    fn lock_failures_at_one_worker_are_the_injected_ones() {
+        let c = kogge_stone_adder(8);
+        let s = Stimulus::random_vectors(&c, 4, 2, 13);
+        let engine = HjEngine::from_config(&EngineConfig::default().with_workers(1))
+            .with_fault_plan(FaultPlan::seeded(21).fail_trylock(0.5));
+        let out = engine
+            .try_run(&c, &s, &DelayModel::standard())
+            .expect("bounded retry");
+        let injected = engine.fault_plan().injected().lock_failures;
+        assert!(injected > 0);
+        assert_eq!(out.stats.lock_failures, injected);
     }
 
     #[test]

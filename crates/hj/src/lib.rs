@@ -15,7 +15,9 @@
 //!   ([`Locker::try_lock_all`]) provides the paper's livelock
 //!   avoidance.
 //!
-//! These are the only HJlib constructs the paper's algorithms use.
+//! These are the only HJlib constructs the paper's algorithms use. The
+//! runtime keeps no run-wide counters: a shared write per task would be a
+//! scheduling cost of its own, so callers count per task and merge once.
 //!
 //! The scheduler follows the classic Habanero/Cilk design: one worker thread
 //! per core, a per-worker [`crossbeam_deque::Worker`] deque (LIFO pops, FIFO
@@ -42,13 +44,11 @@
 //! ```
 
 pub mod locks;
-pub mod metrics;
 pub mod runtime;
 mod scheduler;
 pub mod scope;
 
 pub use locks::{LockId, LockRegistry, Locker};
-pub use metrics::{Metrics, MetricsSnapshot};
 pub use runtime::{HjRuntime, SchedulerObservation};
 pub use scope::Scope;
 

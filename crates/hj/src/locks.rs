@@ -22,7 +22,7 @@
 //! creates one `Locker` per executing task; dropping it releases every held
 //! lock (RAII backstop).
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use crossbeam_utils::CachePadded;
 
@@ -30,44 +30,10 @@ use crossbeam_utils::CachePadded;
 /// there is one lock per (node, input port) pair.
 pub type LockId = u32;
 
-/// Acquisition statistics for a registry.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LockStats {
-    /// Successful `TRYLOCK` acquisitions.
-    pub acquired: u64,
-    /// Failed `TRYLOCK` attempts (lock already held by another task).
-    pub failed: u64,
-    /// `RELEASEALLLOCKS` invocations.
-    pub release_all_calls: u64,
-}
-
-impl LockStats {
-    /// Deltas between two snapshots (`self` taken after `earlier`).
-    pub fn since(&self, earlier: &LockStats) -> LockStats {
-        LockStats {
-            acquired: self.acquired - earlier.acquired,
-            failed: self.failed - earlier.failed,
-            release_all_calls: self.release_all_calls - earlier.release_all_calls,
-        }
-    }
-
-    /// Fraction of trylock attempts that failed, in `[0, 1]`.
-    pub fn failure_rate(&self) -> f64 {
-        let total = self.acquired + self.failed;
-        if total == 0 {
-            0.0
-        } else {
-            self.failed as f64 / total as f64
-        }
-    }
-}
-
-/// A fixed-size table of never-blocking CAS locks.
+/// A fixed-size table of never-blocking CAS locks. The CAS is the only
+/// read-modify-write it does: callers count their own failures.
 pub struct LockRegistry {
     locks: Box<[CachePadded<AtomicBool>]>,
-    acquired: CachePadded<AtomicU64>,
-    failed: CachePadded<AtomicU64>,
-    release_all_calls: CachePadded<AtomicU64>,
 }
 
 impl LockRegistry {
@@ -76,9 +42,6 @@ impl LockRegistry {
         assert!(n <= LockId::MAX as usize, "too many locks for LockId");
         LockRegistry {
             locks: (0..n).map(|_| CachePadded::new(AtomicBool::new(false))).collect(),
-            acquired: CachePadded::new(AtomicU64::new(0)),
-            failed: CachePadded::new(AtomicU64::new(0)),
-            release_all_calls: CachePadded::new(AtomicU64::new(0)),
         }
     }
 
@@ -109,26 +72,20 @@ impl LockRegistry {
         }
     }
 
-    /// Current acquisition statistics.
-    pub fn stats(&self) -> LockStats {
-        LockStats {
-            acquired: self.acquired.load(Ordering::Relaxed),
-            failed: self.failed.load(Ordering::Relaxed),
-            release_all_calls: self.release_all_calls.load(Ordering::Relaxed),
-        }
+    /// Racy scan: the IDs of every lock held right now, ascending. For
+    /// diagnostics — a watchdog stall report, or a leak check once every
+    /// task has ended.
+    pub fn held(&self) -> Vec<LockId> {
+        (0..self.len() as LockId)
+            .filter(|&id| self.is_locked(id))
+            .collect()
     }
 
     #[inline]
     fn try_acquire_raw(&self, id: LockId) -> bool {
-        let ok = self.locks[id as usize]
+        self.locks[id as usize]
             .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
-            .is_ok();
-        if ok {
-            self.acquired.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.failed.fetch_add(1, Ordering::Relaxed);
-        }
-        ok
+            .is_ok()
     }
 
     #[inline]
@@ -142,7 +99,7 @@ impl std::fmt::Debug for LockRegistry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LockRegistry")
             .field("len", &self.len())
-            .field("stats", &self.stats())
+            .field("held", &self.held().len())
             .finish()
     }
 }
@@ -213,7 +170,6 @@ impl<'r> Locker<'r> {
 
     /// `RELEASEALLLOCKS()`: release every lock this task holds.
     pub fn release_all(&mut self) {
-        self.registry.release_all_calls.fetch_add(1, Ordering::Relaxed);
         for id in self.held.drain(..) {
             self.registry.unlock_raw(id);
         }
@@ -309,18 +265,17 @@ mod tests {
     }
 
     #[test]
-    fn stats_track_acquisitions() {
-        let reg = LockRegistry::new(4);
+    fn held_lists_locks_in_ascending_order() {
+        let reg = LockRegistry::new(8);
         let mut a = reg.locker();
         let mut b = reg.locker();
-        assert!(a.try_lock(0));
-        assert!(!b.try_lock(0));
+        assert!(b.try_lock(6));
+        assert_eq!(a.try_lock_all([1, 4]), Ok(()));
+        assert_eq!(reg.held(), vec![1, 4, 6]);
+        assert!(format!("{reg:?}").contains("held: 3"));
         a.release_all();
-        let s = reg.stats();
-        assert_eq!(s.acquired, 1);
-        assert_eq!(s.failed, 1);
-        assert_eq!(s.release_all_calls, 1);
-        assert!((s.failure_rate() - 0.5).abs() < 1e-12);
+        drop(b);
+        assert!(reg.held().is_empty());
     }
 
     /// Locks provide real mutual exclusion under parallel contention.

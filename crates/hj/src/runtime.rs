@@ -4,9 +4,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use parking_lot::Mutex;
-
-use crate::metrics::MetricsSnapshot;
 use crate::scheduler::{build_pool, Shared};
 use crate::scope::Scope;
 
@@ -34,17 +31,14 @@ pub struct SchedulerObservation {
 /// Runtimes are independent: multiple may coexist in one process.
 pub struct HjRuntime {
     shared: Arc<Shared>,
-    handles: Mutex<Vec<JoinHandle<()>>>,
+    handles: Vec<JoinHandle<()>>,
 }
 
 impl HjRuntime {
     /// Create a runtime with `workers` worker threads.
     pub fn new(workers: usize) -> Self {
         let (shared, handles) = build_pool(workers, THREAD_NAME);
-        HjRuntime {
-            shared,
-            handles: Mutex::new(handles),
-        }
+        HjRuntime { shared, handles }
     }
 
     /// Number of worker threads.
@@ -75,11 +69,6 @@ impl HjRuntime {
         }
     }
 
-    /// Snapshot of the runtime counters.
-    pub fn metrics(&self) -> MetricsSnapshot {
-        self.shared.metrics.snapshot()
-    }
-
     /// Racy snapshot of the scheduler queues, for stall diagnostics.
     pub fn observe_scheduler(&self) -> SchedulerObservation {
         let (injector_depth, worker_queue_depths, sleeping_workers) =
@@ -95,7 +84,7 @@ impl HjRuntime {
 impl Drop for HjRuntime {
     fn drop(&mut self) {
         self.shared.begin_shutdown();
-        for handle in self.handles.lock().drain(..) {
+        for handle in self.handles.drain(..) {
             let _ = handle.join();
         }
     }
@@ -112,20 +101,6 @@ impl std::fmt::Debug for HjRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn metrics_count_spawned_tasks() {
-        let rt = HjRuntime::new(2);
-        let before = rt.metrics();
-        rt.finish(|scope| {
-            for _ in 0..32 {
-                scope.spawn(|| {});
-            }
-        });
-        let delta = rt.metrics().since(&before);
-        assert_eq!(delta.tasks_spawned, 32);
-        assert_eq!(delta.tasks_executed, 32);
-    }
 
     #[test]
     fn runtime_debug_is_printable() {

@@ -6,6 +6,12 @@
 //! from threads outside the pool. Idle workers park on a condition variable
 //! with a short timeout, so a missed notification costs at most one timeout
 //! period rather than a hang.
+//!
+//! The pool also owns the condition variable that a thread outside the pool
+//! waits on for a `finish` scope to end. It lives here, not in the scope,
+//! because the pool outlives every scope: the last task of a scope wakes
+//! that waiter after the scope may already be gone (see
+//! [`Shared::notify_scope_done`]).
 
 use std::cell::Cell;
 use std::ptr;
@@ -17,8 +23,6 @@ use crossbeam_deque::{Injector, Steal, Stealer, Worker};
 use crossbeam_utils::Backoff;
 use parking_lot::{Condvar, Mutex};
 
-use crate::metrics::Metrics;
-
 /// A unit of work: a boxed run-to-completion closure.
 pub(crate) type Job = Box<dyn FnOnce() + Send + 'static>;
 
@@ -29,6 +33,11 @@ pub(crate) type Job = Box<dyn FnOnce() + Send + 'static>;
 /// evaluation host).
 const PARK_TIMEOUT: Duration = Duration::from_micros(200);
 
+/// How long a thread outside the pool waits for a scope to end before it
+/// re-checks. The wait cannot lose a wake-up (see
+/// [`Shared::wait_external`]); the timeout is a backstop only.
+const EXTERNAL_WAIT_TIMEOUT: Duration = Duration::from_millis(1);
+
 /// State shared by all workers of one runtime.
 pub(crate) struct Shared {
     injector: Injector<Job>,
@@ -36,8 +45,9 @@ pub(crate) struct Shared {
     sleepers: AtomicUsize,
     sleep_lock: Mutex<()>,
     wake: Condvar,
+    /// Signalled under `sleep_lock` when a scope's last task finishes.
+    scope_done: Condvar,
     shutdown: AtomicBool,
-    pub(crate) metrics: Metrics,
 }
 
 impl Shared {
@@ -62,7 +72,6 @@ impl Shared {
     /// Submit a job from any thread. Jobs from worker threads go to the
     /// worker's own deque; others to the global injector.
     pub(crate) fn spawn_job(&self, job: Job) {
-        Metrics::bump(&self.metrics.tasks_spawned);
         let mut job = Some(job);
         WorkerCtx::with_current(|ctx| {
             // Only use the local deque if the current worker belongs to
@@ -90,6 +99,28 @@ impl Shared {
         self.wake.notify_all();
     }
 
+    /// Wake every thread outside the pool that waits in
+    /// [`Shared::wait_external`]. Called by the last task of a scope right
+    /// after its decrement of the scope's count, which may free the scope:
+    /// this touches only the pool.
+    pub(crate) fn notify_scope_done(&self) {
+        let _guard = self.sleep_lock.lock();
+        self.scope_done.notify_all();
+    }
+
+    /// Block a thread outside the pool until `done()` is true.
+    ///
+    /// No wake-up is lost: `done()` is checked with `sleep_lock` held, and
+    /// [`Shared::notify_scope_done`] takes that lock after the change that
+    /// makes `done()` true. So either the check sees the change, or this
+    /// thread is already waiting when the notification is sent.
+    pub(crate) fn wait_external(&self, done: &dyn Fn() -> bool) {
+        let mut guard = self.sleep_lock.lock();
+        while !done() {
+            self.scope_done.wait_for(&mut guard, EXTERNAL_WAIT_TIMEOUT);
+        }
+    }
+
     pub(crate) fn is_shutdown(&self) -> bool {
         self.shutdown.load(Ordering::Acquire)
     }
@@ -106,41 +137,32 @@ impl Shared {
     /// `finish` cannot starve the pool.
     pub(crate) fn help_until(&self, done: &dyn Fn() -> bool) {
         let backoff = Backoff::new();
-        loop {
-            if done() {
-                return;
-            }
-            let job = WorkerCtx::with_current(|ctx| ctx.find_job()).flatten();
-            match job {
+        while !done() {
+            match WorkerCtx::with_current(|ctx| ctx.find_job()).flatten() {
                 Some(job) => {
-                    self.run_job(job);
+                    job();
                     backoff.reset();
                 }
-                None => {
-                    if backoff.is_completed() {
-                        // No runnable work: sleep briefly instead of
-                        // spinning. `done()` is re-checked on wake.
-                        let mut guard = self.sleep_lock.lock();
-                        if done() {
-                            return;
-                        }
-                        self.sleepers.fetch_add(1, Ordering::Relaxed);
-                        self.wake.wait_for(&mut guard, PARK_TIMEOUT);
-                        self.sleepers.fetch_sub(1, Ordering::Relaxed);
-                    } else {
-                        backoff.snooze();
-                    }
-                }
+                None => self.idle(&backoff, done),
             }
         }
     }
 
-    fn run_job(&self, job: Job) {
-        // Count before running: a finish scope is released from *inside*
-        // the job (its completion wrapper), so counting afterwards would
-        // let an observer see quiescence with the counter still lagging.
-        Metrics::bump(&self.metrics.tasks_executed);
-        job();
+    /// One idle step of a worker that found no job: snooze while `backoff`
+    /// lasts, then park for at most [`PARK_TIMEOUT`] unless `done()` holds
+    /// under the sleep lock. The caller re-polls for work either way.
+    fn idle(&self, backoff: &Backoff, done: &dyn Fn() -> bool) {
+        if !backoff.is_completed() {
+            backoff.snooze();
+            return;
+        }
+        let mut guard = self.sleep_lock.lock();
+        if done() {
+            return;
+        }
+        self.sleepers.fetch_add(1, Ordering::Relaxed);
+        self.wake.wait_for(&mut guard, PARK_TIMEOUT);
+        self.sleepers.fetch_sub(1, Ordering::Relaxed);
     }
 
     fn steal_external(&self, local: &Worker<Job>, start: usize) -> Option<Job> {
@@ -148,10 +170,7 @@ impl Shared {
         // starting from a per-worker offset to spread contention.
         loop {
             match self.injector.steal_batch_and_pop(local) {
-                Steal::Success(job) => {
-                    Metrics::bump(&self.metrics.tasks_injected);
-                    return Some(job);
-                }
+                Steal::Success(job) => return Some(job),
                 Steal::Retry => continue,
                 Steal::Empty => break,
             }
@@ -163,10 +182,7 @@ impl Shared {
             for k in 0..n {
                 let victim = (start + k) % n;
                 match self.stealers[victim].steal_batch_and_pop(local) {
-                    Steal::Success(job) => {
-                        Metrics::bump(&self.metrics.tasks_stolen);
-                        return Some(job);
-                    }
+                    Steal::Success(job) => return Some(job),
                     Steal::Retry => retry = true,
                     Steal::Empty => {}
                 }
@@ -235,27 +251,17 @@ fn worker_main(shared: Arc<Shared>, local: Worker<Job>, index: usize) {
     CURRENT.with(|cell| cell.set(&ctx as *const WorkerCtx));
     let _guard = CtxGuard;
 
+    // Queued jobs drain before shutdown is honoured.
+    let shutdown = || ctx.shared.is_shutdown();
     let backoff = Backoff::new();
     loop {
         match ctx.find_job() {
             Some(job) => {
-                ctx.shared.run_job(job);
+                job();
                 backoff.reset();
             }
-            None => {
-                if ctx.shared.is_shutdown() {
-                    break;
-                }
-                if backoff.is_completed() {
-                    Metrics::bump(&ctx.shared.metrics.parks);
-                    let mut guard = ctx.shared.sleep_lock.lock();
-                    ctx.shared.sleepers.fetch_add(1, Ordering::Relaxed);
-                    ctx.shared.wake.wait_for(&mut guard, PARK_TIMEOUT);
-                    ctx.shared.sleepers.fetch_sub(1, Ordering::Relaxed);
-                } else {
-                    backoff.snooze();
-                }
-            }
+            None if shutdown() => break,
+            None => ctx.shared.idle(&backoff, &shutdown),
         }
     }
 }
@@ -274,8 +280,8 @@ pub(crate) fn build_pool(
         sleepers: AtomicUsize::new(0),
         sleep_lock: Mutex::new(()),
         wake: Condvar::new(),
+        scope_done: Condvar::new(),
         shutdown: AtomicBool::new(false),
-        metrics: Metrics::new(),
     });
     let handles = worker_deques
         .into_iter()
@@ -315,9 +321,6 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(counter.load(Ordering::Relaxed), 64);
-        let snap = shared.metrics.snapshot();
-        assert_eq!(snap.tasks_spawned, 64);
-        assert_eq!(snap.tasks_executed, 64);
     }
 
     #[test]

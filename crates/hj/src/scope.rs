@@ -9,6 +9,11 @@
 //! Like [`std::thread::scope`], a `Scope` lets tasks borrow from the
 //! enclosing environment (`'env`): soundness follows from `finish` never
 //! returning — even on panic — before the scope is quiescent.
+//!
+//! `finish` frees the scope as soon as it sees the count of pending tasks
+//! reach zero, so a task's decrement of that count is its last access to
+//! the scope. Waking a waiter outside the pool goes through the pool,
+//! which outlives every scope.
 
 use std::any::Any;
 use std::marker::PhantomData;
@@ -16,9 +21,8 @@ use std::mem;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 use crate::scheduler::{Job, Shared, WorkerCtx};
 
@@ -28,8 +32,6 @@ pub(crate) struct ScopeInner {
     pending: AtomicUsize,
     /// First panic payload raised by a task of this scope, if any.
     panic: Mutex<Option<Box<dyn Any + Send + 'static>>>,
-    done_lock: Mutex<()>,
-    done_cv: Condvar,
 }
 
 impl ScopeInner {
@@ -37,17 +39,6 @@ impl ScopeInner {
         ScopeInner {
             pending: AtomicUsize::new(0),
             panic: Mutex::new(None),
-            done_lock: Mutex::new(()),
-            done_cv: Condvar::new(),
-        }
-    }
-
-    fn task_done(&self) {
-        if self.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
-            // Last task: wake any external waiter. Taking the lock orders
-            // the notify after the waiter's predicate check.
-            let _guard = self.done_lock.lock();
-            self.done_cv.notify_all();
         }
     }
 
@@ -99,19 +90,28 @@ impl<'scope, 'env> Scope<'scope, 'env> {
         F: FnOnce() + Send + 'scope,
     {
         self.inner.pending.fetch_add(1, Ordering::Relaxed);
-        // The wrapper needs a stable pointer to `ScopeInner`. The Scope
-        // lives on the stack frame of `finish`, which does not return until
-        // `pending == 0`, so the pointer outlives every wrapper execution.
+        // The wrapper needs stable pointers to the `ScopeInner` and to the
+        // pool. The Scope lives on the stack frame of `finish`, which does
+        // not return until `pending == 0`. The pool lives at least as long
+        // as the worker thread that runs the wrapper: its `WorkerCtx` holds
+        // an `Arc<Shared>`, and only this pool's workers run its jobs.
         let inner_ptr = &self.inner as *const ScopeInner as usize;
+        let pool_ptr = Arc::as_ptr(&self.pool) as usize;
         let wrapper = move || {
             let result = catch_unwind(AssertUnwindSafe(f));
-            // SAFETY: see above — `finish` keeps the ScopeInner alive until
-            // this task (counted in `pending`) has run `task_done`.
+            // SAFETY: `pending` still counts this task, so `finish` has
+            // not returned and the ScopeInner is alive.
             let inner = unsafe { &*(inner_ptr as *const ScopeInner) };
             if let Err(payload) = result {
                 inner.record_panic(payload);
             }
-            inner.task_done();
+            // SAFETY: see above; the pool outlives this wrapper.
+            let pool = unsafe { &*(pool_ptr as *const Shared) };
+            // The decrement is this task's last access to the scope: once
+            // it reaches zero, `finish` may return and free the scope.
+            if inner.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
+                pool.notify_scope_done();
+            }
         };
         let job: Box<dyn FnOnce() + Send + 'scope> = Box::new(wrapper);
         // SAFETY: extending the closure lifetime to 'static is sound because
@@ -127,17 +127,11 @@ impl<'scope, 'env> Scope<'scope, 'env> {
         if self.inner.is_quiescent() {
             return;
         }
+        let done = || self.inner.is_quiescent();
         if WorkerCtx::on_pool(&self.pool) {
-            self.pool.help_until(&|| self.inner.is_quiescent());
+            self.pool.help_until(&done);
         } else {
-            let mut guard = self.inner.done_lock.lock();
-            while !self.inner.is_quiescent() {
-                // The timeout guards against the (benign) race where the
-                // last task_done fires between our predicate check and wait.
-                self.inner
-                    .done_cv
-                    .wait_for(&mut guard, Duration::from_millis(1));
-            }
+            self.pool.wait_external(&done);
         }
     }
 

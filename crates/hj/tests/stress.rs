@@ -1,8 +1,9 @@
 //! Stress tests for the runtime: large task counts, deep recursion,
-//! nesting, cross-runtime interaction, and reuse.
+//! nesting, cross-runtime interaction, reuse, and scope lifetime.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
 
 use hj::prelude::*;
 
@@ -122,7 +123,77 @@ fn runtime_survives_many_scope_generations() {
         });
         assert_eq!(count.load(Ordering::Relaxed), 16, "generation {generation}");
     }
-    let m = rt.metrics();
-    assert_eq!(m.tasks_spawned, 500 * 16);
-    assert_eq!(m.tasks_executed, 500 * 16);
+}
+
+/// One finish scope of `tasks` tasks in its own stack frame, so the next
+/// frame on this stack reuses the scope's memory once `finish` returns.
+#[inline(never)]
+fn counted_scope(rt: &HjRuntime, tasks: usize) -> usize {
+    let ran = AtomicUsize::new(0);
+    rt.finish(|scope| {
+        for _ in 0..tasks {
+            scope.spawn(|| {
+                ran.fetch_add(1, Ordering::Relaxed);
+            });
+        }
+    });
+    ran.load(Ordering::Relaxed)
+}
+
+/// A finish scope whose one task runs `counted_scope` on a worker, so the
+/// inner scope is awaited by helping rather than by blocking.
+#[inline(never)]
+fn nested_scope(rt: &HjRuntime, tasks: usize) -> usize {
+    let ran = AtomicUsize::new(0);
+    rt.finish(|scope| {
+        scope.spawn(|| {
+            let inner = counted_scope(rt, tasks);
+            scribble_stack();
+            ran.fetch_add(inner, Ordering::Relaxed);
+        });
+    });
+    ran.load(Ordering::Relaxed)
+}
+
+/// Overwrite the stack just below the caller, where the last scope lived.
+/// A task that still touches its scope after `finish` returned then reads
+/// garbage instead of a stale but intact scope.
+#[inline(never)]
+fn scribble_stack() {
+    let mut bytes = [0xA5u8; 512];
+    std::hint::black_box(&mut bytes);
+}
+
+/// A task must not touch its scope after the decrement that lets `finish`
+/// return. Many short scopes from a thread outside the pool, each freed
+/// and overwritten at once, turn such an access into a crash or a hang.
+/// The scopes run on a helper thread so a hang fails the test instead of
+/// wedging the suite.
+#[test]
+fn finished_scopes_are_not_touched_again() {
+    const SCOPES: usize = 300_000;
+    let (tx, rx) = mpsc::channel();
+    let churn = std::thread::Builder::new()
+        .name("scope-churn".into())
+        .spawn(move || {
+            let rt = HjRuntime::new(2);
+            let mut ran = 0;
+            for i in 0..SCOPES {
+                let tasks = 1 + i % 3;
+                ran += if i % 4 == 3 {
+                    nested_scope(&rt, tasks)
+                } else {
+                    counted_scope(&rt, tasks)
+                };
+                scribble_stack();
+            }
+            tx.send(ran).expect("test thread waits for the count");
+        })
+        .expect("spawn the scope-churn thread");
+    let ran = rx
+        .recv_timeout(Duration::from_secs(120))
+        .expect("scope churn hung or panicked");
+    churn.join().expect("scope-churn thread ended cleanly");
+    let expected: usize = (0..SCOPES).map(|i| 1 + i % 3).sum();
+    assert_eq!(ran, expected);
 }
