@@ -1440,24 +1440,25 @@ fn mem_experiment(opts: &Options) {
     use des::node::{drain_ready, is_active, local_clock};
     const PORTS: usize = 4;
     let n: u64 = if opts.scale_name == "tiny" { 20_000 } else { 400_000 };
-    let fill = |arena: &mut EventArena<u64>| {
-        let mut ports: Vec<PortQueue<u64>> = (0..PORTS).map(|_| PortQueue::new()).collect();
+    let fill = |arena: &mut EventArena| {
+        let mut ports: Vec<PortQueue> = (0..PORTS).map(|_| PortQueue::new()).collect();
         for ts in 0..n {
-            ports[ts as usize % PORTS].push(arena, Event::new(ts as Timestamp, ts));
+            let value = circuit::Logic::from_bool(ts % 2 == 1);
+            ports[ts as usize % PORTS].push(arena, Event::new(ts as Timestamp, value));
         }
         // Terminal NULLs: every queued event becomes ready, as at the
         // end of a conservative run.
         for p in &mut ports {
-            p.advance_clock(des::NULL_TS);
+            p.push_null();
         }
         ports
     };
     let bench_reps = opts.reps.max(3);
     let mut per_event_ns = f64::MAX;
     let mut batched_ns = f64::MAX;
-    let mut temp: Vec<(circuit::PortIx, Event<u64>)> = Vec::with_capacity(n as usize);
+    let mut temp: Vec<(circuit::PortIx, Event)> = Vec::with_capacity(n as usize);
     for _ in 0..bench_reps {
-        let mut arena: EventArena<u64> = EventArena::with_capacity(n as usize);
+        let mut arena = EventArena::with_capacity(n as usize);
         let mut ports = fill(&mut arena);
         let mut popped = 0u64;
         let start = Instant::now();
@@ -1482,7 +1483,7 @@ fn mem_experiment(opts: &Options) {
         per_event_ns = per_event_ns.min(start.elapsed().as_nanos() as f64 / n as f64);
         assert_eq!(popped, n, "per-event loop must deliver every event");
 
-        let mut arena: EventArena<u64> = EventArena::with_capacity(n as usize);
+        let mut arena = EventArena::with_capacity(n as usize);
         let mut ports = fill(&mut arena);
         temp.clear();
         let start = Instant::now();

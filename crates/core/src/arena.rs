@@ -4,8 +4,8 @@
 //! per-port `VecDeque`s: each cross-port move was a copy, and the deques
 //! themselves grew and shrank on whatever thread happened to touch them.
 //! [`EventArena`] replaces that with one slab per execution context (a
-//! circuit shard thread, a model engine's loop or shard thread; every
-//! node or component the context runs shares it): events
+//! `seq-workset` run or a sharded core's thread; every node the context
+//! runs shares it): events
 //! live in a contiguous slot vector allocated on the owning thread
 //! (first touch pins the pages to that thread's NUMA node when the
 //! thread itself is pinned), queues hold 8-byte [`EventRef`] handles,
@@ -20,7 +20,6 @@
 //! testable failure.
 
 use crate::event::Event;
-use circuit::Logic;
 
 /// Generational handle into an [`EventArena`].
 ///
@@ -42,26 +41,26 @@ impl EventRef {
 }
 
 #[derive(Debug, Clone)]
-struct Slot<V> {
+struct Slot {
     /// Bumped every free; a handle is valid iff its generation matches.
     gen: u32,
-    ev: Option<Event<V>>,
+    ev: Option<Event>,
 }
 
 /// A slab of in-flight events with free-list reuse and generational
-/// handles. One arena per execution context (shard thread, model
-/// executor thread), shared by every node or component it runs — never
+/// handles. One arena per execution context (a sequential run or a shard
+/// thread), shared by every node it runs — never
 /// shared across threads, so no interior mutability and no contention.
 #[derive(Debug, Clone)]
-pub struct EventArena<V = Logic> {
-    slots: Vec<Slot<V>>,
+pub struct EventArena {
+    slots: Vec<Slot>,
     /// Freed slot indices, reused LIFO (the hottest slot first).
     free: Vec<u32>,
     live: usize,
     high_water: usize,
 }
 
-impl<V> EventArena<V> {
+impl EventArena {
     /// An empty arena that grows on demand.
     pub fn new() -> Self {
         Self::with_capacity(0)
@@ -90,7 +89,7 @@ impl<V> EventArena<V> {
     /// Store `ev`, returning its handle. Reuses a freed slot when one
     /// exists; grows the slab otherwise.
     #[inline]
-    pub fn alloc(&mut self, ev: Event<V>) -> EventRef {
+    pub fn alloc(&mut self, ev: Event) -> EventRef {
         self.live += 1;
         if self.live > self.high_water {
             self.high_water = self.live;
@@ -118,7 +117,7 @@ impl<V> EventArena<V> {
     /// On a stale handle: the slot was already freed (and possibly
     /// recycled). This is the reuse-after-free detector.
     #[inline]
-    pub fn take(&mut self, r: EventRef) -> Event<V> {
+    pub fn take(&mut self, r: EventRef) -> Event {
         let slot = &mut self.slots[r.ix as usize];
         let ev = match slot.ev.take() {
             Some(ev) if slot.gen == r.gen => ev,
@@ -141,7 +140,7 @@ impl<V> EventArena<V> {
     /// # Panics
     /// On a stale handle, like [`EventArena::take`].
     #[inline]
-    pub fn get(&self, r: EventRef) -> &Event<V> {
+    pub fn get(&self, r: EventRef) -> &Event {
         let slot = &self.slots[r.ix as usize];
         match &slot.ev {
             Some(ev) if slot.gen == r.gen => ev,
@@ -170,7 +169,7 @@ impl<V> EventArena<V> {
     }
 }
 
-impl<V> Default for EventArena<V> {
+impl Default for EventArena {
     fn default() -> Self {
         Self::new()
     }
@@ -180,6 +179,7 @@ impl<V> Default for EventArena<V> {
 mod tests {
     use super::*;
     use crate::event::Timestamp;
+    use circuit::Logic;
 
     fn ev(t: Timestamp) -> Event {
         Event::new(t, Logic::One)
@@ -212,7 +212,7 @@ mod tests {
 
     #[test]
     fn with_capacity_presizes_and_hands_out_low_slots_first() {
-        let mut a = EventArena::<Logic>::with_capacity(4);
+        let mut a = EventArena::with_capacity(4);
         assert_eq!(a.capacity(), 4);
         let r = a.alloc(ev(1));
         assert_eq!(r.index(), 0);

@@ -46,11 +46,9 @@ use obs::{Recorder, SpanKind};
 
 use crate::engine::config::EngineConfig;
 use crate::engine::probe::RunProbe;
-use crate::engine::seq::extract_node_values;
 use crate::engine::{Engine, SimOutput};
 use crate::event::{Event, Timestamp, NULL_TS};
-use crate::monitor::Waveform;
-use crate::node::Latch;
+use crate::node::{final_outputs, NodeState};
 use crate::stats::SimStats;
 
 /// Bounded retry budget around the paper's single TRYLOCK attempt: a
@@ -306,19 +304,17 @@ struct PPort {
 
 /// Claim-guarded per-node state.
 struct PCore {
-    latch: Latch,
+    state: NodeState,
     temp: Vec<(PortIx, Event)>,
-    null_sent: bool,
-    waveform: Waveform,
 }
 
 struct PNode {
+    /// Immutable copy of `core.state.kind` for lock-free readers.
     kind: NodeKind,
-    delay: u64,
     ports: Box<[PPort]>,
     /// Task-deduplication flag: at most one task runs this node at a time.
     claimed: AtomicBool,
-    /// Mirror of `core.null_sent` for lock-free activity checks.
+    /// Mirror of `core.state.null_sent` for lock-free activity checks.
     null_sent: AtomicBool,
     core: UnsafeCell<PCore>,
     /// Lock IDs of this node's own input ports, ascending.
@@ -413,11 +409,6 @@ impl<'a> ParSim<'a> {
                 plan.dedup();
                 PNode {
                     kind: node.kind,
-                    delay: match node.kind {
-                        NodeKind::Input => delays.input,
-                        NodeKind::Output => delays.output,
-                        NodeKind::Gate(kind) => delays.of(kind),
-                    },
                     ports: (0..num_ports)
                         .map(|_| PPort {
                             queue: UnsafeCell::new(VecDeque::new()),
@@ -428,10 +419,8 @@ impl<'a> ParSim<'a> {
                     claimed: AtomicBool::new(false),
                     null_sent: AtomicBool::new(false),
                     core: UnsafeCell::new(PCore {
-                        latch: Latch::new(),
+                        state: NodeState::new(node.kind, delays),
                         temp: Vec::new(),
-                        null_sent: false,
-                        waveform: Waveform::new(),
                     }),
                     own_locks: own_locks.into_boxed_slice(),
                     lock_plan: plan.into_boxed_slice(),
@@ -505,8 +494,7 @@ impl<'a> ParSim<'a> {
         // The finish scope has quiesced: we have exclusive access again.
         let mut stats = self.totals.into_inner().unwrap_or_else(PoisonError::into_inner);
         stats.lock_failures += self.fault.injected().lock_failures;
-        let nodes = self.nodes;
-        for (i, node) in nodes.iter().enumerate() {
+        for (i, node) in self.nodes.iter().enumerate() {
             debug_assert!(!node.claimed.load(Ordering::SeqCst), "node {i} still claimed");
             debug_assert!(
                 node.null_sent.load(Ordering::SeqCst),
@@ -520,26 +508,8 @@ impl<'a> ParSim<'a> {
                 );
             }
         }
-        let core_of = |id: NodeId| -> &PCore {
-            // SAFETY: quiescent, single-threaded epilogue.
-            unsafe { &*nodes[id.index()].core.get() }
-        };
-        let node_values = extract_node_values(self.circuit, |id| {
-            let core = core_of(id);
-            match nodes[id.index()].kind {
-                NodeKind::Input | NodeKind::Output => core.latch.0[0],
-                NodeKind::Gate(kind) => kind.eval(core.latch.values(kind.arity())),
-            }
-        });
-        let waveforms = self
-            .circuit
-            .outputs()
-            .iter()
-            .map(|&o| {
-                // SAFETY: quiescent epilogue; clone out of the cell.
-                unsafe { (*nodes[o.index()].core.get()).waveform.clone() }
-            })
-            .collect();
+        let states = self.nodes.into_vec().into_iter().map(|n| n.core.into_inner().state);
+        let (node_values, waveforms) = final_outputs(self.circuit, states);
         SimOutput {
             stats,
             waveforms,
@@ -743,32 +713,23 @@ fn run_claimed<'s, 'e>(
     }
 
     // Process the temporary queue (the paper's SIMULATE).
-    let temp = std::mem::take(&mut core.temp);
-    let drained_events = temp.len() as u64;
+    let drained_events = core.temp.len() as u64;
     tally.events_processed += drained_events;
-    for &(port, ev) in &temp {
-        core.latch.set(port, ev.value);
-        match node.kind {
-            NodeKind::Output => core.waveform.record(ev),
-            NodeKind::Gate(kind) => {
-                let value = kind.eval(core.latch.values(kind.arity()));
-                let out = Event::new(ev.time + node.delay, value);
-                for &(t, _) in node.fanout.iter() {
-                    deliver(sim, tally, t, out);
-                }
+    for &(port, ev) in &core.temp {
+        if let Some(out) = core.state.fire(port, ev) {
+            for &(t, _) in node.fanout.iter() {
+                deliver(sim, tally, t, out);
             }
-            NodeKind::Input => unreachable!(),
         }
     }
-    core.temp = temp;
     core.temp.clear();
 
     // NULL forwarding: all ports closed and drained.
     let drained = node.ports.iter().all(|p| {
         p.last_ts.load(Ordering::SeqCst) == NULL_TS && p.head_ts.load(Ordering::SeqCst) == EMPTY
     });
-    if drained && !core.null_sent {
-        core.null_sent = true;
+    if drained && !core.state.null_sent {
+        core.state.null_sent = true;
         node.null_sent.store(true, Ordering::SeqCst);
         for &(t, _) in node.fanout.iter() {
             deliver_null(sim, tally, t);
@@ -795,12 +756,15 @@ fn run_input(sim: &ParSim<'_>, tally: &mut SimStats, id: NodeId) -> u64 {
         .iter()
         .position(|&i| i == id)
         .expect("id is an input node");
+    // SAFETY: we hold the claim of `id`.
+    let core = unsafe { &mut *node.core.get() };
     let mut emitted = 0u64;
     for tv in sim.stimulus.input_events(input_ix) {
         emitted += 1;
-        let out = Event::new(tv.time + node.delay, tv.value);
-        for &(t, _) in node.fanout.iter() {
-            deliver(sim, tally, t, out);
+        if let Some(out) = core.state.fire(0, Event::new(tv.time, tv.value)) {
+            for &(t, _) in node.fanout.iter() {
+                deliver(sim, tally, t, out);
+            }
         }
     }
     tally.events_delivered += emitted;
@@ -808,12 +772,7 @@ fn run_input(sim: &ParSim<'_>, tally: &mut SimStats, id: NodeId) -> u64 {
     for &(t, _) in node.fanout.iter() {
         deliver_null(sim, tally, t);
     }
-    // SAFETY: we hold the claim of `id`.
-    let core = unsafe { &mut *node.core.get() };
-    if let Some(last) = sim.stimulus.input_events(input_ix).last() {
-        core.latch.set(0, last.value);
-    }
-    core.null_sent = true;
+    core.state.null_sent = true;
     node.null_sent.store(true, Ordering::SeqCst);
     emitted
 }
@@ -850,6 +809,7 @@ fn deliver_null(sim: &ParSim<'_>, tally: &mut SimStats, target: Target) {
 mod tests {
     use super::*;
     use crate::engine::seq::SeqWorksetEngine;
+    use crate::monitor::Waveform;
     use circuit::generators::{c17, fanout_tree, full_adder, kogge_stone_adder, wallace_multiplier};
     use circuit::Stimulus;
 

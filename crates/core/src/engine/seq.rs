@@ -14,28 +14,16 @@
 use std::collections::VecDeque;
 use std::time::Instant;
 
-use circuit::{Circuit, DelayModel, Logic, NodeId, NodeKind, Stimulus};
+use circuit::{Circuit, DelayModel, NodeId, NodeKind, PortIx, Stimulus, Target};
 
+use crate::arena::EventArena;
 use crate::engine::config::EngineConfig;
 use crate::engine::probe::RunProbe;
 use crate::engine::{Engine, SimOutput};
-use fault::{RunPolicy, SimError};
-use crate::event::{Event, NULL_TS};
-use crate::arena::EventArena;
-use crate::monitor::Waveform;
-use crate::node::{drain_ready, is_active, local_clock, Latch, PortQueue};
+use crate::event::Event;
+use crate::node::{final_outputs, PortNode};
 use crate::stats::SimStats;
-
-/// Per-node simulation state.
-struct SeqNode {
-    kind: NodeKind,
-    delay: u64,
-    ports: Vec<PortQueue>,
-    latch: Latch,
-    null_sent: bool,
-    /// Circuit outputs: observed events.
-    waveform: Waveform,
-}
+use fault::{RunPolicy, SimError};
 
 /// The Algorithm 1 engine.
 #[derive(Debug, Default, Clone)]
@@ -78,7 +66,7 @@ impl Engine for SeqWorksetEngine {
         // redundant entries are unnecessary).
         let mut workset: VecDeque<NodeId> = VecDeque::new();
         let mut queued = vec![false; circuit.num_nodes()];
-        for id in sim.initially_active() {
+        for &id in sim.initially_active() {
             queued[id.index()] = true;
             workset.push_back(id);
         }
@@ -108,37 +96,21 @@ impl Engine for SeqWorksetEngine {
 pub(crate) struct Sim<'a> {
     circuit: &'a Circuit,
     stimulus: &'a Stimulus,
-    nodes: Vec<SeqNode>,
+    nodes: Vec<PortNode>,
     /// Slab holding every in-flight event; queues hold handles into it.
     arena: EventArena,
     stats: SimStats,
     /// Scratch for ready events, reused across runs (allocation hygiene).
-    temp: Vec<(circuit::PortIx, Event)>,
+    temp: Vec<(PortIx, Event)>,
 }
 
 impl<'a> Sim<'a> {
     pub(crate) fn new(circuit: &'a Circuit, stimulus: &'a Stimulus, delays: &'a DelayModel) -> Self {
         assert_eq!(stimulus.num_inputs(), circuit.inputs().len());
-        let nodes = circuit
-            .nodes()
-            .iter()
-            .map(|n| SeqNode {
-                kind: n.kind,
-                delay: match n.kind {
-                    NodeKind::Input => delays.input,
-                    NodeKind::Output => delays.output,
-                    NodeKind::Gate(kind) => delays.of(kind),
-                },
-                ports: (0..n.kind.num_inputs()).map(|_| PortQueue::new()).collect(),
-                latch: Latch::new(),
-                null_sent: false,
-                waveform: Waveform::new(),
-            })
-            .collect();
         Sim {
             circuit,
             stimulus,
-            nodes,
+            nodes: circuit.nodes().iter().map(|n| PortNode::new(n.kind, delays)).collect(),
             arena: EventArena::new(),
             stats: SimStats::default(),
             temp: Vec::new(),
@@ -147,120 +119,91 @@ impl<'a> Sim<'a> {
 
     /// The nodes that are active before any event is processed: the
     /// circuit inputs (they hold the initial events).
-    pub(crate) fn initially_active(&self) -> Vec<NodeId> {
-        self.circuit.inputs().to_vec()
+    pub(crate) fn initially_active(&self) -> &'a [NodeId] {
+        self.circuit.inputs()
     }
 
     /// Nodes whose activity may have changed after `run_node(id)`: the
-    /// node itself and its fanout.
-    pub(crate) fn candidates(&self, id: NodeId) -> Vec<NodeId> {
-        let mut v = Vec::with_capacity(1 + self.circuit.node(id).fanout.len());
-        v.push(id);
-        v.extend(self.circuit.node(id).fanout.iter().map(|t| t.node));
-        v
+    /// node itself, then its fanout. Borrows the circuit, not `self`.
+    pub(crate) fn candidates(&self, id: NodeId) -> impl Iterator<Item = NodeId> + 'a {
+        let fanout = &self.circuit.node(id).fanout;
+        std::iter::once(id).chain(fanout.iter().map(|t| t.node))
     }
 
     /// Is `id` active (has ready events, or owes its NULL forward)?
     pub(crate) fn node_is_active(&self, id: NodeId) -> bool {
-        let node = &self.nodes[id.index()];
-        match node.kind {
-            NodeKind::Input => false, // inputs run exactly once, up front
-            _ => is_active(&node.ports, node.null_sent),
-        }
+        self.nodes[id.index()].is_active()
     }
 
     /// Process all of `id`'s ready events (the paper's `RUNNODE`).
     pub(crate) fn run_node(&mut self, id: NodeId) {
         self.stats.node_runs += 1;
-        match self.nodes[id.index()].kind {
+        match self.nodes[id.index()].state.kind {
             NodeKind::Input => self.run_input(id),
             _ => self.run_gate_or_output(id),
         }
     }
 
-    /// Deliver one payload event to an input port.
-    fn deliver(&mut self, target: circuit::Target, event: Event) {
-        self.stats.events_delivered += 1;
-        self.nodes[target.node.index()].ports[target.port as usize].push(&mut self.arena, event);
+    /// Deliver one payload event to every fanout target. Runs once per
+    /// emitted event from two call sites; out of line, the call cost
+    /// `seq-workset` about 4 % on ks128.
+    #[inline(always)]
+    fn emit(&mut self, fanout: &[Target], event: Event) {
+        for &t in fanout {
+            self.stats.events_delivered += 1;
+            self.nodes[t.node.index()].ports[t.port as usize].push(&mut self.arena, event);
+        }
+    }
+
+    /// Forward the terminal NULL to every fanout target.
+    fn emit_null(&mut self, id: NodeId, fanout: &[Target]) {
+        self.nodes[id.index()].state.null_sent = true;
+        for &t in fanout {
+            self.nodes[t.node.index()].ports[t.port as usize].push_null();
+            self.stats.nulls_sent += 1;
+        }
     }
 
     /// An input node's run: emit the entire stimulus, then NULL (§4.1:
     /// "after an input node sends out all its initial events, it sends a
     /// NULL message with timestamp infinity").
     fn run_input(&mut self, id: NodeId) {
-        let input_ix = self
-            .circuit
+        let (circuit, stimulus) = (self.circuit, self.stimulus);
+        let input_ix = circuit
             .inputs()
             .iter()
             .position(|&i| i == id)
             .expect("id is an input node");
-        let delay = self.nodes[id.index()].delay;
-        let fanout = self.circuit.node(id).fanout.clone();
-        let stimulus = self.stimulus; // copy the reference out of `self`
+        let fanout = &circuit.node(id).fanout;
         for tv in stimulus.input_events(input_ix) {
             // The initial event itself counts as delivered + processed.
             self.stats.events_delivered += 1;
             self.stats.events_processed += 1;
-            let out = Event::new(tv.time + delay, tv.value);
-            for &t in &fanout {
-                self.deliver(t, out);
+            let fired = self.nodes[id.index()].state.fire(0, Event::new(tv.time, tv.value));
+            if let Some(out) = fired {
+                self.emit(fanout, out);
             }
         }
-        for &t in &fanout {
-            self.nodes[t.node.index()].ports[t.port as usize].push_null();
-            self.stats.nulls_sent += 1;
-        }
-        self.nodes[id.index()].null_sent = true;
-        // Remember the final driven value for `node_values`.
-        if let Some(last) = stimulus.input_events(input_ix).last() {
-            self.nodes[id.index()].latch.set(0, last.value);
-        }
+        self.emit_null(id, fanout);
     }
 
     fn run_gate_or_output(&mut self, id: NodeId) {
-        let clock = local_clock(&self.nodes[id.index()].ports);
         let mut temp = std::mem::take(&mut self.temp);
         temp.clear();
-        drain_ready(&mut self.nodes[id.index()].ports, &mut self.arena, clock, &mut temp);
+        self.nodes[id.index()].drain_ready(&mut self.arena, &mut temp);
 
-        let fanout = self.circuit.node(id).fanout.clone();
+        let fanout = &self.circuit.node(id).fanout;
         for &(port, ev) in &temp {
             self.stats.events_processed += 1;
-            // Scope the node borrow so `deliver` can re-borrow `self`.
-            let emitted = {
-                let node = &mut self.nodes[id.index()];
-                node.latch.set(port, ev.value);
-                match node.kind {
-                    NodeKind::Output => {
-                        node.waveform.record(ev);
-                        None
-                    }
-                    NodeKind::Gate(kind) => {
-                        let out_val = kind.eval(node.latch.values(kind.arity()));
-                        Some(Event::new(ev.time + node.delay, out_val))
-                    }
-                    NodeKind::Input => unreachable!("inputs use run_input"),
-                }
-            };
-            if let Some(out) = emitted {
-                for &t in &fanout {
-                    self.deliver(t, out);
-                }
+            if let Some(out) = self.nodes[id.index()].state.fire(port, ev) {
+                self.emit(fanout, out);
             }
         }
         self.temp = temp;
 
         // Forward NULL once every port is closed and drained.
-        let node = &self.nodes[id.index()];
-        if !node.null_sent
-            && local_clock(&node.ports) == NULL_TS
-            && node.ports.iter().all(|p| p.is_empty())
-        {
-            self.nodes[id.index()].null_sent = true;
-            for &t in &fanout {
-                self.nodes[t.node.index()].ports[t.port as usize].push_null();
-                self.stats.nulls_sent += 1;
-            }
+        if self.nodes[id.index()].owes_null() {
+            self.emit_null(id, fanout);
         }
     }
 
@@ -270,7 +213,7 @@ impl<'a> Sim<'a> {
     }
 
     /// Finalize: check termination invariants and extract the output.
-    pub(crate) fn into_output(mut self) -> SimOutput {
+    pub(crate) fn into_output(self) -> SimOutput {
         // Termination invariants (Chandy–Misra): every queue drained and
         // every node has forwarded its NULL.
         for (i, node) in self.nodes.iter().enumerate() {
@@ -278,22 +221,11 @@ impl<'a> Sim<'a> {
                 node.ports.iter().all(|p| p.is_empty()),
                 "node {i} has undrained events"
             );
-            debug_assert!(node.null_sent, "node {i} never forwarded NULL");
+            debug_assert!(node.state.null_sent, "node {i} never forwarded NULL");
         }
         debug_assert_eq!(self.arena.live(), 0, "undrained events leaked in the arena");
-        let node_values = extract_node_values(self.circuit, |id| {
-            let node = &self.nodes[id.index()];
-            match node.kind {
-                NodeKind::Input | NodeKind::Output => node.latch.0[0],
-                NodeKind::Gate(kind) => kind.eval(node.latch.values(kind.arity())),
-            }
-        });
-        let waveforms = self
-            .circuit
-            .outputs()
-            .iter()
-            .map(|&o| std::mem::take(&mut self.nodes[o.index()].waveform))
-            .collect();
+        let (node_values, waveforms) =
+            final_outputs(self.circuit, self.nodes.into_iter().map(|n| n.state));
         SimOutput {
             stats: self.stats,
             waveforms,
@@ -302,19 +234,10 @@ impl<'a> Sim<'a> {
     }
 }
 
-/// Shared helper: materialize the per-node final value vector.
-pub(crate) fn extract_node_values(
-    circuit: &Circuit,
-    value_of: impl Fn(NodeId) -> Logic,
-) -> Vec<Logic> {
-    (0..circuit.num_nodes())
-        .map(|i| value_of(NodeId(i as u32)))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::monitor::Waveform;
     use circuit::generators::{c17, full_adder, inverter_chain};
     use circuit::{evaluate, Logic, Stimulus, TimedValue};
 

@@ -11,17 +11,15 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::time::Instant;
 
-use circuit::{Circuit, DelayModel, Logic, NodeKind, PortIx, Stimulus};
+use circuit::{Circuit, DelayModel, Logic, PortIx, Stimulus};
 
 use crate::engine::config::EngineConfig;
 use crate::engine::probe::RunProbe;
-use crate::engine::seq::extract_node_values;
 use crate::engine::{Engine, SimOutput};
-use fault::{RunPolicy, SimError};
-use crate::event::Timestamp;
-use crate::monitor::Waveform;
-use crate::node::Latch;
+use crate::event::{Event, Timestamp};
+use crate::node::{final_outputs, NodeState};
 use crate::stats::SimStats;
+use fault::{RunPolicy, SimError};
 
 /// A scheduled delivery: ordered by (time, sequence number) so that
 /// same-port deliveries retain FIFO order (matching per-port deques).
@@ -71,15 +69,13 @@ impl Engine for SeqHeapEngine {
         let recorder = self.policy.recorder();
         let probe = RunProbe::with_rank(recorder, &self.name(), "seq-heap", self.rank);
         let wall_start = Instant::now();
-        let n = circuit.num_nodes();
         let mut heap: BinaryHeap<Reverse<HeapItem>> = BinaryHeap::new();
         let mut seq = 0u64;
         let mut stats = SimStats::default();
-        let mut latches = vec![Latch::new(); n];
-        let mut waveform_of: Vec<Option<Waveform>> = circuit
+        let mut nodes: Vec<NodeState> = circuit
             .nodes()
             .iter()
-            .map(|node| matches!(node.kind, NodeKind::Output).then(Waveform::new))
+            .map(|n| NodeState::new(n.kind, delays))
             .collect();
 
         // Initial events address the input nodes themselves (port 0 is a
@@ -102,27 +98,9 @@ impl Engine for SeqHeapEngine {
             stats.events_processed += 1;
             let id = circuit::NodeId(item.dst);
             let span = probe.begin(id.index());
-            let node = circuit.node(id);
-            latches[id.index()].set(item.port, item.value);
-            let emitted = match node.kind {
-                NodeKind::Input => Some(crate::event::Event::new(
-                    item.time + delays.input,
-                    item.value,
-                )),
-                NodeKind::Output => {
-                    waveform_of[id.index()]
-                        .as_mut()
-                        .expect("outputs have waveforms")
-                        .record(crate::event::Event::new(item.time, item.value));
-                    None
-                }
-                NodeKind::Gate(kind) => {
-                    let out = kind.eval(latches[id.index()].values(kind.arity()));
-                    Some(crate::event::Event::new(item.time + delays.of(kind), out))
-                }
-            };
+            let emitted = nodes[id.index()].fire(item.port, Event::new(item.time, item.value));
             if let Some(out) = emitted {
-                for &t in &node.fanout {
+                for &t in &circuit.node(id).fanout {
                     heap.push(Reverse(HeapItem {
                         time: out.time,
                         seq,
@@ -138,15 +116,7 @@ impl Engine for SeqHeapEngine {
             probe.end(span, id.index(), 1);
         }
 
-        let node_values = extract_node_values(circuit, |id| match circuit.node(id).kind {
-            NodeKind::Input | NodeKind::Output => latches[id.index()].0[0],
-            NodeKind::Gate(kind) => kind.eval(latches[id.index()].values(kind.arity())),
-        });
-        let waveforms = circuit
-            .outputs()
-            .iter()
-            .map(|&o| waveform_of[o.index()].take().expect("output waveform"))
-            .collect();
+        let (node_values, waveforms) = final_outputs(circuit, nodes);
         stats.publish_ranked(recorder, &self.name(), self.rank, wall_start.elapsed());
         Ok(SimOutput {
             stats,
@@ -160,6 +130,7 @@ impl Engine for SeqHeapEngine {
 mod tests {
     use super::*;
     use crate::engine::seq::SeqWorksetEngine;
+    use crate::monitor::Waveform;
     use circuit::generators::{c17, full_adder, kogge_stone_adder};
     use circuit::{evaluate, Stimulus};
 

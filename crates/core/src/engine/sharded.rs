@@ -97,12 +97,11 @@ use crate::engine::checkpoint::{self, CheckpointSink, NodeSnapshot, PortSnapshot
 use crate::engine::config::EngineConfig;
 use crate::engine::pin::PinPolicy;
 use crate::engine::probe::RunProbe;
-use crate::engine::seq::extract_node_values;
 use crate::engine::threads::{ShardSlot, ShardThreads};
 use crate::engine::{Engine, SimOutput};
 use crate::event::{Event, Timestamp, NULL_TS};
 use crate::monitor::Waveform;
-use crate::node::{drain_ready, is_active, local_clock, Latch, PortQueue};
+use crate::node::{Latch, NodeState, PortNode, PortQueue};
 use crate::stats::SimStats;
 
 /// Default per-shard inbox capacity. Small enough that backpressure is
@@ -195,7 +194,19 @@ impl ShardedEngine {
         if let Some(dog) = watchdog {
             dog.disarm();
         }
-        Ok((outcomes?, shards.metrics.load_imbalance_pct))
+        let outcomes = outcomes?;
+        // Cores publish progress once per node run, idle wait or control
+        // message, never per event.
+        #[cfg(debug_assertions)]
+        {
+            let node_runs: u64 = outcomes.iter().map(|o| o.stats.node_runs).sum();
+            let waits_and_controls = shards.waits_and_controls.load(Ordering::Relaxed);
+            assert!(
+                shards.ctl.publications() <= node_runs + waits_and_controls,
+                "per-event publications"
+            );
+        }
+        Ok((outcomes, shards.metrics.load_imbalance_pct))
     }
 }
 
@@ -223,6 +234,10 @@ pub(crate) struct LocalShards<'a> {
     /// Indexed by global shard id; only this rank's rows are written
     /// locally (remote ranks report theirs via telemetry).
     waits: Arc<WaitMatrix>,
+    /// Idle waits plus control messages handled, summed over the local
+    /// cores when they finish: with node runs, the bound on progress
+    /// publications.
+    waits_and_controls: AtomicU64,
 }
 
 impl<'a> LocalShards<'a> {
@@ -258,6 +273,7 @@ impl<'a> LocalShards<'a> {
             threads: ShardThreads::new(cfg.pinning(), local.len())?,
             metrics: partition.metrics(circuit),
             waits: Arc::new(WaitMatrix::new(cfg.shards())),
+            waits_and_controls: AtomicU64::new(0),
             ctl: Arc::new(RunCtl::new()),
             circuit,
             stimulus,
@@ -293,6 +309,8 @@ impl<'a> LocalShards<'a> {
             prepare(&mut link);
             let mut core = ShardCore::new(self, link);
             core.run();
+            self.waits_and_controls
+                .fetch_add(core.waits_and_controls, Ordering::Relaxed);
             core.into_outcome()
         })
     }
@@ -318,9 +336,10 @@ pub(crate) fn merge_outcomes(
             values[ix] = Some(v);
         }
     }
-    let node_values = extract_node_values(circuit, |id| {
-        values[id.index()].expect("every node owned by exactly one shard")
-    });
+    let node_values = values
+        .into_iter()
+        .map(|v| v.expect("every node owned by exactly one shard"))
+        .collect();
     let mut waveform_slots: Vec<Option<Waveform>> = vec![None; circuit.outputs().len()];
     for outcome in &mut outcomes {
         for (out_ix, wf) in outcome.waveforms.drain(..) {
@@ -431,20 +450,6 @@ pub(crate) struct ShardOutcome {
     pub(crate) waveforms: Vec<(usize, Waveform)>,
 }
 
-/// Per-node state of a shard's sequential core (same shape as the
-/// sequential engine's). The port queues, clocks, latch, waveform, and
-/// `null_sent` flag *are* the node's complete simulation state, so a
-/// migrated node resumes exactly where the donor stopped — see
-/// [`MigratedNode`] for the cross-arena handoff.
-struct ShardNode {
-    kind: NodeKind,
-    delay: u64,
-    ports: Vec<PortQueue>,
-    latch: Latch,
-    null_sent: bool,
-    waveform: Waveform,
-}
-
 /// Shared-memory handoff for migrating node state: one slot per node,
 /// filled by the donor before it sends [`ShardMsg::Transferred`] and
 /// emptied by the new owner after it holds a `Transferred` from every
@@ -453,28 +458,22 @@ pub(crate) struct MigrationBus {
     slots: Vec<Mutex<Option<MigratedNode>>>,
 }
 
-/// A node's state serialized for cross-shard migration. [`crate::EventRef`]
+/// A node's state serialized for cross-shard migration. A node's state
+/// and its port queues *are* its complete simulation state, so a migrated
+/// node resumes exactly where the donor stopped. [`crate::EventRef`]
 /// handles are arena-local, so the donor moves the queued events *out*
 /// of its arena at park and the adopter re-homes them into its own at
-/// take; everything else moves wholesale.
+/// take; the node state moves wholesale.
 pub(crate) struct MigratedNode {
-    kind: NodeKind,
-    delay: u64,
-    latch: Latch,
-    null_sent: bool,
-    waveform: Waveform,
+    state: NodeState,
     /// Per input port: receive clock + queued events in arrival order.
     ports: Vec<(Timestamp, Vec<Event>)>,
 }
 
 /// Serialize `node` out of the donor's `arena` for the migration bus.
-fn park_node(node: ShardNode, arena: &mut EventArena) -> MigratedNode {
+fn park_node(node: PortNode, arena: &mut EventArena) -> MigratedNode {
     MigratedNode {
-        kind: node.kind,
-        delay: node.delay,
-        latch: node.latch,
-        null_sent: node.null_sent,
-        waveform: node.waveform,
+        state: node.state,
         ports: node
             .ports
             .into_iter()
@@ -484,18 +483,14 @@ fn park_node(node: ShardNode, arena: &mut EventArena) -> MigratedNode {
 }
 
 /// Re-home a parked node's events into the adopter's `arena`.
-fn adopt_node(mig: MigratedNode, arena: &mut EventArena) -> ShardNode {
-    ShardNode {
-        kind: mig.kind,
-        delay: mig.delay,
+fn adopt_node(mig: MigratedNode, arena: &mut EventArena) -> PortNode {
+    PortNode {
+        state: mig.state,
         ports: mig
             .ports
             .into_iter()
             .map(|(last_ts, events)| PortQueue::restore(arena, last_ts, events))
             .collect(),
-        latch: mig.latch,
-        null_sent: mig.null_sent,
-        waveform: mig.waveform,
     }
 }
 
@@ -711,7 +706,7 @@ pub(crate) struct ShardCore<'a, L: Link> {
     ctl: &'a RunCtl,
     fault: &'a FaultPlan,
     /// Indexed by `NodeId::index`; `Some` iff this shard owns the node.
-    nodes: Vec<Option<ShardNode>>,
+    nodes: Vec<Option<PortNode>>,
     owned: Vec<NodeId>,
     link: L,
     /// Open outgoing cut edges, with the last promised clock floor per
@@ -736,6 +731,8 @@ pub(crate) struct ShardCore<'a, L: Link> {
     /// and before a blocking wait: the counter's cache line is shared by
     /// every shard, so it is not touched per event or per message.
     ticks: u64,
+    /// Idle waits and control messages handled: each publishes progress.
+    waits_and_controls: u64,
     stats: SimStats,
     temp: Vec<(PortIx, Event)>,
     /// Slab backing every event queued on this shard. Built on the shard
@@ -763,21 +760,9 @@ impl<'a, L: Link> ShardCore<'a, L> {
         let partition = (*shards.partition).clone();
         let shard = link.shard();
         let owned = partition.nodes_of(shard);
-        let mut nodes: Vec<Option<ShardNode>> = (0..circuit.num_nodes()).map(|_| None).collect();
+        let mut nodes: Vec<Option<PortNode>> = (0..circuit.num_nodes()).map(|_| None).collect();
         for &id in &owned {
-            let n = circuit.node(id);
-            nodes[id.index()] = Some(ShardNode {
-                kind: n.kind,
-                delay: match n.kind {
-                    NodeKind::Input => delays.input,
-                    NodeKind::Output => delays.output,
-                    NodeKind::Gate(kind) => delays.of(kind),
-                },
-                ports: (0..n.kind.num_inputs()).map(|_| PortQueue::new()).collect(),
-                latch: Latch::new(),
-                null_sent: false,
-                waveform: Waveform::new(),
-            });
+            nodes[id.index()] = Some(PortNode::new(circuit.node(id).kind, delays));
         }
         let mut arena = EventArena::new();
         let cut_out = outgoing_cut_edges(circuit, &partition, shard);
@@ -810,8 +795,8 @@ impl<'a, L: Link> ShardCore<'a, L> {
                 let slot = nodes[ns.id as usize]
                     .as_mut()
                     .expect("snapshot node is owned by this shard");
-                slot.null_sent = ns.null_sent;
-                slot.latch = Latch(ns.latch);
+                slot.state.null_sent = ns.null_sent;
+                slot.state.latch = Latch(ns.latch);
                 slot.ports = ns
                     .ports
                     .iter()
@@ -821,7 +806,7 @@ impl<'a, L: Link> ShardCore<'a, L> {
                 for &e in &ns.waveform {
                     wf.record(e);
                 }
-                slot.waveform = wf;
+                slot.state.waveform = wf;
             }
             if let Some(rt) = reb.as_mut() {
                 rt.epoch = epoch + 1;
@@ -847,6 +832,7 @@ impl<'a, L: Link> ShardCore<'a, L> {
             queued: vec![false; circuit.num_nodes()],
             input_ix,
             ticks: 0,
+            waits_and_controls: 0,
             stats,
             temp: Vec::new(),
             arena,
@@ -863,11 +849,11 @@ impl<'a, L: Link> ShardCore<'a, L> {
         }
     }
 
-    fn node(&self, id: NodeId) -> &ShardNode {
+    fn node(&self, id: NodeId) -> &PortNode {
         self.nodes[id.index()].as_ref().expect("owned node")
     }
 
-    fn node_mut(&mut self, id: NodeId) -> &mut ShardNode {
+    fn node_mut(&mut self, id: NodeId) -> &mut PortNode {
         self.nodes[id.index()].as_mut().expect("owned node")
     }
 
@@ -900,7 +886,7 @@ impl<'a, L: Link> ShardCore<'a, L> {
                 .owned
                 .iter()
                 .copied()
-                .filter(|&id| matches!(self.node(id).kind, NodeKind::Input))
+                .filter(|&id| matches!(self.node(id).state.kind, NodeKind::Input))
                 .collect();
             for id in inputs {
                 self.activate(id);
@@ -938,7 +924,7 @@ impl<'a, L: Link> ShardCore<'a, L> {
                     return;
                 }
             }
-            if self.owned.iter().all(|&id| self.node(id).null_sent) {
+            if self.owned.iter().all(|&id| self.node(id).state.null_sent) {
                 debug_assert!(self.workset.is_empty());
                 // Clean Chandy–Misra termination. Tell the rebalancing
                 // peers we will never answer another barrier, then push
@@ -996,6 +982,7 @@ impl<'a, L: Link> ShardCore<'a, L> {
     /// holds); the wait is a full idle period when everything went out, a
     /// short poll when a full destination held some of it back.
     fn flush_before_wait(&mut self) -> Result<Duration, Stopped> {
+        self.waits_and_controls += 1;
         self.ctl.tick_n(std::mem::take(&mut self.ticks));
         match self.link.flush() {
             Ok(true) => Ok(IDLE_RECV_TIMEOUT),
@@ -1095,13 +1082,7 @@ impl<'a, L: Link> ShardCore<'a, L> {
         if self.queued[id.index()] {
             return;
         }
-        let node = self.node(id);
-        let active = match node.kind {
-            // Inputs run exactly once, eagerly seeded by `run`.
-            NodeKind::Input => !node.null_sent,
-            _ => is_active(&node.ports, node.null_sent),
-        };
-        if active {
+        if self.node(id).is_active() {
             self.queued[id.index()] = true;
             self.workset.push_back(id);
         }
@@ -1148,8 +1129,8 @@ impl<'a, L: Link> ShardCore<'a, L> {
                 let n = self.node(id);
                 NodeSnapshot {
                     id: id.index() as u64,
-                    null_sent: n.null_sent,
-                    latch: n.latch.0,
+                    null_sent: n.state.null_sent,
+                    latch: n.state.latch.0,
                     ports: n
                         .ports
                         .iter()
@@ -1158,7 +1139,7 @@ impl<'a, L: Link> ShardCore<'a, L> {
                             events: p.snapshot_events(&self.arena),
                         })
                         .collect(),
-                    waveform: n.waveform.events().to_vec(),
+                    waveform: n.state.waveform.events().to_vec(),
                 }
             })
             .collect();
@@ -1238,6 +1219,7 @@ impl<'a, L: Link> ShardCore<'a, L> {
     /// future epoch (a fast peer already moved on) is deferred.
     fn note_barrier(&mut self, from: ShardId, epoch: u64, load: u64, depth: u64) {
         let Some(rt) = self.reb.as_mut() else { return };
+        self.waits_and_controls += 1;
         self.ctl.tick();
         if epoch == rt.epoch {
             rt.markers[from] = Some(ShardLoad {
@@ -1257,6 +1239,7 @@ impl<'a, L: Link> ShardCore<'a, L> {
     /// A peer finished parking its donations for the current epoch.
     fn note_transferred(&mut self, from: ShardId, epoch: u64) {
         let Some(rt) = self.reb.as_mut() else { return };
+        self.waits_and_controls += 1;
         self.ctl.tick();
         debug_assert_eq!(
             epoch, rt.epoch,
@@ -1268,6 +1251,7 @@ impl<'a, L: Link> ShardCore<'a, L> {
     /// A peer retired: it owes no traffic and answers no more barriers.
     fn note_retire(&mut self, from: ShardId) {
         let Some(rt) = self.reb.as_mut() else { return };
+        self.waits_and_controls += 1;
         self.ctl.tick();
         rt.retired[from] = true;
     }
@@ -1652,7 +1636,7 @@ impl<'a, L: Link> ShardCore<'a, L> {
         self.stats.node_runs += 1;
         let before = self.stats.events_processed;
         let span = self.probe.begin(id.index());
-        let result = match self.node(id).kind {
+        let result = match self.node(id).state.kind {
             NodeKind::Input => self.run_input(id),
             _ => self.run_gate_or_output(id),
         };
@@ -1671,80 +1655,48 @@ impl<'a, L: Link> ShardCore<'a, L> {
         let (circuit, stimulus) = (self.circuit, self.stimulus);
         let input_ix = self.input_ix[id.index()];
         debug_assert_ne!(input_ix, u32::MAX, "id is an input node");
-        let delay = self.node(id).delay;
         let fanout = &circuit.node(id).fanout;
-        let events = stimulus.input_events(input_ix as usize);
-        for tv in events {
+        for tv in stimulus.input_events(input_ix as usize) {
             // The initial event itself counts as delivered + processed.
             self.stats.events_delivered += 1;
             self.note_processed();
-            let out = Event::new(tv.time + delay, tv.value);
-            for &t in fanout {
-                self.deliver(t, out)?;
+            if let Some(out) = self.node_mut(id).state.fire(0, Event::new(tv.time, tv.value)) {
+                for &t in fanout {
+                    self.deliver(t, out)?;
+                }
             }
         }
         for &t in fanout {
             self.deliver_null(t)?;
         }
-        if let Some(last) = events.last() {
-            self.node_mut(id).latch.set(0, last.value);
-        }
-        self.node_mut(id).null_sent = true;
+        self.node_mut(id).state.null_sent = true;
         Ok(())
     }
 
     fn run_gate_or_output(&mut self, id: NodeId) -> Result<(), Stopped> {
         let mut temp = std::mem::take(&mut self.temp);
         temp.clear();
-        {
-            let node = self.nodes[id.index()].as_mut().expect("owned node");
-            let clock = local_clock(&node.ports);
-            drain_ready(&mut node.ports, &mut self.arena, clock, &mut temp);
-        }
+        self.nodes[id.index()]
+            .as_mut()
+            .expect("owned node")
+            .drain_ready(&mut self.arena, &mut temp);
         self.probe.batch(temp.len() as u64);
 
         let circuit = self.circuit;
         let fanout = &circuit.node(id).fanout;
-        let mut result = Ok(());
-        for &(port, ev) in &temp {
+        let result = temp.iter().try_for_each(|&(port, ev)| {
             self.note_processed();
-            let emitted = {
-                let node = self.node_mut(id);
-                node.latch.set(port, ev.value);
-                match node.kind {
-                    NodeKind::Output => {
-                        node.waveform.record(ev);
-                        None
-                    }
-                    NodeKind::Gate(kind) => {
-                        let out_val = kind.eval(node.latch.values(kind.arity()));
-                        Some(Event::new(ev.time + node.delay, out_val))
-                    }
-                    NodeKind::Input => unreachable!("inputs use run_input"),
-                }
-            };
-            if let Some(out) = emitted {
-                for &t in fanout {
-                    if self.deliver(t, out).is_err() {
-                        result = Err(Stopped);
-                        break;
-                    }
-                }
+            match self.node_mut(id).state.fire(port, ev) {
+                Some(out) => fanout.iter().try_for_each(|&t| self.deliver(t, out)),
+                None => Ok(()),
             }
-            if result.is_err() {
-                break;
-            }
-        }
+        });
         self.temp = temp;
         result?;
 
         // Forward the terminal NULL once every port is closed and drained.
-        let node = self.node(id);
-        if !node.null_sent
-            && local_clock(&node.ports) == NULL_TS
-            && node.ports.iter().all(|p| p.is_empty())
-        {
-            self.node_mut(id).null_sent = true;
+        if self.node(id).owes_null() {
+            self.node_mut(id).state.null_sent = true;
             for &t in fanout {
                 self.deliver_null(t)?;
             }
@@ -1763,7 +1715,7 @@ impl<'a, L: Link> ShardCore<'a, L> {
         for i in 0..self.cut_out.len() {
             let CutEdge { src, target, dst_shard } = self.cut_out[i];
             let node = self.node(src);
-            if node.null_sent || matches!(node.kind, NodeKind::Input) {
+            if node.state.null_sent || matches!(node.state.kind, NodeKind::Input) {
                 continue; // edge closed (or closing in one atomic run)
             }
             let lb = node
@@ -1775,7 +1727,7 @@ impl<'a, L: Link> ShardCore<'a, L> {
             if lb == NULL_TS {
                 continue; // node is about to forward its terminal NULL
             }
-            let floor = lb.saturating_add(node.delay).saturating_sub(1);
+            let floor = lb.saturating_add(node.state.delay).saturating_sub(1);
             if floor > self.last_floor[i] {
                 self.last_floor[i] = floor;
                 self.stats.shard_nulls_sent += 1;
@@ -1804,20 +1756,16 @@ impl<'a, L: Link> ShardCore<'a, L> {
                 "node {} has undrained events",
                 id.index()
             );
-            debug_assert!(node.null_sent, "node {} never forwarded NULL", id.index());
-            let value = match node.kind {
-                NodeKind::Input | NodeKind::Output => node.latch.0[0],
-                NodeKind::Gate(kind) => kind.eval(node.latch.values(kind.arity())),
-            };
-            values.push((id.index(), value));
-            if matches!(node.kind, NodeKind::Output) {
+            debug_assert!(node.state.null_sent, "node {} never forwarded NULL", id.index());
+            values.push((id.index(), node.state.final_value()));
+            if matches!(node.state.kind, NodeKind::Output) {
                 let out_ix = self
                     .circuit
                     .outputs()
                     .iter()
                     .position(|&o| o == id)
                     .expect("output node is listed");
-                waveforms.push((out_ix, std::mem::take(&mut node.waveform)));
+                waveforms.push((out_ix, std::mem::take(&mut node.state.waveform)));
             }
         }
         debug_assert_eq!(

@@ -4,12 +4,6 @@
 //! value; NULL messages (Chandy–Misra termination) are modelled as the
 //! reserved timestamp [`NULL_TS`] and never enter event queues — they only
 //! advance the receiving port's "last received" clock to infinity.
-//!
-//! The event is generic over its payload so the same conservative
-//! machinery (per-port FIFO queues, local clocks, NULL promises) carries
-//! user-defined model payloads in `sim-model` as well as circuit logic
-//! values. `V` defaults to [`Logic`], so all circuit-engine code keeps
-//! reading `Event` unchanged.
 
 use circuit::Logic;
 
@@ -20,21 +14,21 @@ pub use circuit::{Timestamp, NULL_TS};
 
 /// A signal event: the value arrives (and is to be processed) at `time`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Event<V = Logic> {
+pub struct Event {
     pub time: Timestamp,
-    pub value: V,
+    pub value: Logic,
 }
 
-impl<V> Event<V> {
+impl Event {
     /// Construct an event; `time` must not be the NULL sentinel.
     #[inline]
-    pub fn new(time: Timestamp, value: V) -> Self {
+    pub fn new(time: Timestamp, value: Logic) -> Self {
         debug_assert!(time != NULL_TS, "NULL_TS is reserved for NULL messages");
         Event { time, value }
     }
 }
 
-impl<V: std::fmt::Display> std::fmt::Display for Event<V> {
+impl std::fmt::Display for Event {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{}@{}", self.value, self.time)
     }
@@ -54,13 +48,6 @@ mod tests {
     #[test]
     fn display_format() {
         assert_eq!(Event::new(7, Logic::One).to_string(), "1@7");
-    }
-
-    #[test]
-    fn generic_payloads_carry_through() {
-        let e: Event<u64> = Event::new(3, 0xDEAD);
-        assert_eq!(e.value, 0xDEAD);
-        assert_eq!(e.to_string(), "57005@3");
     }
 
     #[test]

@@ -1,61 +1,204 @@
-//! Per-node Chandy–Misra state shared by the queue-based engines.
+//! A circuit node, defined once for every engine.
 //!
-//! Per paper §4.1/§4.5.1: each node keeps one FIFO deque **per input
-//! port** (events on one port arrive in nondecreasing timestamp order, so
-//! a plain deque suffices — this is the ArrayDeque-vs-PriorityQueue
-//! optimization), a per-port "last received" clock, and latched input
-//! values. The node's local clock is the minimum of the per-port clocks;
-//! queued events no later than the clock are *ready*.
+//! **What a node is and does.** [`NodeState`] is a node's whole
+//! simulation state apart from its event queues: kind, delay, latched
+//! inputs, whether its terminal NULL went out, and (for circuit outputs)
+//! the observed waveform. [`NodeState::fire`] is the paper's per-event
+//! SIMULATE, the one firing rule every engine runs; [`NodeState::final_value`]
+//! and [`final_outputs`] are the one way a run's node values and waveforms
+//! are read back. Engines differ only in how they queue, schedule, lock,
+//! route and undo around these.
 //!
-//! [`PortQueue`] and the clock/drain helpers are generic over the event
-//! payload (defaulting to [`Logic`]) so `sim-model` components reuse the
-//! exact same FIFO-plus-clock discipline for opaque user payloads.
+//! **Per-port queues.** Per paper §4.1/§4.5.1: each node keeps one FIFO
+//! deque **per input port** (events on one port arrive in nondecreasing
+//! timestamp order, so a plain deque suffices — this is the
+//! ArrayDeque-vs-PriorityQueue optimization), a per-port "last received"
+//! clock, and latched input values. The node's local clock is the
+//! minimum of the per-port clocks; queued events no later than the clock
+//! are *ready*.
 //!
 //! Storage is arena-backed: a queue holds `(timestamp, EventRef)` pairs
 //! while the events themselves live in the caller's [`EventArena`]
-//! (one per shard thread/model executor thread). The representation
-//! is sealed — every mutation goes through [`PortQueue::push`] /
-//! [`PortQueue::pop_ready`] / [`PortQueue::drain_batch`] and friends, so
-//! the arena layout can change without touching any engine. Timestamps
-//! are mirrored into the queue so the read-only clock helpers
-//! ([`PortQueue::head_ts`], [`local_clock`], [`is_active`]) never need
-//! the arena.
+//! (one per engine run or shard thread). The representation is sealed —
+//! every mutation goes through [`PortQueue::push`] /
+//! [`PortQueue::pop_ready`] and friends, so the arena layout can change
+//! without touching any engine. Timestamps are mirrored into the queue
+//! so the read-only clock helpers ([`PortQueue::head_ts`],
+//! [`local_clock`], [`is_active`]) never need the arena.
 
 use std::collections::VecDeque;
 
-use circuit::{Logic, PortIx};
+use circuit::{Circuit, DelayModel, Logic, NodeKind, PortIx};
 
 use crate::arena::{EventArena, EventRef};
 use crate::event::{Event, Timestamp, NULL_TS};
+use crate::monitor::Waveform;
+
+/// The delay a node of `kind` adds to every event it emits.
+#[inline]
+pub fn node_delay(kind: NodeKind, delays: &DelayModel) -> u64 {
+    match kind {
+        NodeKind::Input => delays.input,
+        NodeKind::Output => delays.output,
+        NodeKind::Gate(gate) => delays.of(gate),
+    }
+}
+
+/// A circuit node's simulation state, whatever queues an engine keeps
+/// its pending events in.
+#[derive(Debug, Clone)]
+pub struct NodeState {
+    pub kind: NodeKind,
+    /// Added to the time of every event the node emits.
+    pub delay: u64,
+    /// Latched input values; input and output nodes latch on port 0.
+    pub latch: Latch,
+    /// The node has forwarded its terminal NULL.
+    pub null_sent: bool,
+    /// Circuit outputs: every observed event, in order.
+    pub waveform: Waveform,
+}
+
+impl NodeState {
+    /// Fresh state for a node of `kind` under `delays`.
+    pub fn new(kind: NodeKind, delays: &DelayModel) -> Self {
+        Self::with_delay(kind, node_delay(kind, delays))
+    }
+
+    /// Fresh state for a node of `kind` with an explicit `delay`.
+    pub fn with_delay(kind: NodeKind, delay: u64) -> Self {
+        NodeState {
+            kind,
+            delay,
+            latch: Latch::new(),
+            null_sent: false,
+            waveform: Waveform::new(),
+        }
+    }
+
+    /// SIMULATE one event arriving on `port` (a stimulus event for an
+    /// input node, port 0): latch its value, then an input forwards it
+    /// and a gate evaluates, both emitting at `time + delay`; an output
+    /// records it. Returns the event to send to every fanout target.
+    /// Runs once per event in every engine's hot loop, so it is always
+    /// inlined.
+    #[inline(always)]
+    pub fn fire(&mut self, port: PortIx, event: Event) -> Option<Event> {
+        self.latch.set(port, event.value);
+        let value = match self.kind {
+            NodeKind::Input => event.value,
+            NodeKind::Gate(gate) => gate.eval(self.latch.values(gate.arity())),
+            NodeKind::Output => {
+                self.waveform.record(event);
+                return None;
+            }
+        };
+        Some(Event::new(event.time + self.delay, value))
+    }
+
+    /// The node's settled value: the last value an input drove or an
+    /// output observed, a gate's evaluation of its latched inputs.
+    pub fn final_value(&self) -> Logic {
+        match self.kind {
+            NodeKind::Input | NodeKind::Output => self.latch.0[0],
+            NodeKind::Gate(gate) => gate.eval(self.latch.values(gate.arity())),
+        }
+    }
+}
+
+/// A run's observables from every node's final state, given in node
+/// order: the settled value of each node, and the waveform of each
+/// circuit output in `circuit.outputs()` order.
+pub fn final_outputs(
+    circuit: &Circuit,
+    states: impl IntoIterator<Item = NodeState>,
+) -> (Vec<Logic>, Vec<Waveform>) {
+    let mut waveform_of: Vec<Option<Waveform>> = vec![None; circuit.num_nodes()];
+    let values = states
+        .into_iter()
+        .enumerate()
+        .map(|(i, state)| {
+            let value = state.final_value();
+            if matches!(state.kind, NodeKind::Output) {
+                waveform_of[i] = Some(state.waveform);
+            }
+            value
+        })
+        .collect();
+    let waveforms = circuit
+        .outputs()
+        .iter()
+        .map(|o| waveform_of[o.index()].take().expect("every output has a state"))
+        .collect();
+    (values, waveforms)
+}
+
+/// A node on per-port FIFO queues: the node of `seq-workset` and of each
+/// sharded core.
+#[derive(Debug)]
+pub(crate) struct PortNode {
+    pub(crate) state: NodeState,
+    pub(crate) ports: Vec<PortQueue>,
+}
+
+impl PortNode {
+    pub(crate) fn new(kind: NodeKind, delays: &DelayModel) -> Self {
+        PortNode {
+            state: NodeState::new(kind, delays),
+            ports: (0..kind.num_inputs()).map(|_| PortQueue::new()).collect(),
+        }
+    }
+
+    /// Has ready events, or owes its NULL forward (an input node is
+    /// active until it has run).
+    #[inline]
+    pub(crate) fn is_active(&self) -> bool {
+        is_active(&self.ports, self.state.null_sent)
+    }
+
+    /// Pop every ready event into `temp` (see [`drain_ready`]).
+    #[inline]
+    pub(crate) fn drain_ready(&mut self, arena: &mut EventArena, temp: &mut Vec<(PortIx, Event)>) {
+        let clock = local_clock(&self.ports);
+        drain_ready(&mut self.ports, arena, clock, temp);
+    }
+
+    /// Every port is closed and drained but the NULL has not gone out:
+    /// the caller forwards it now.
+    #[inline]
+    pub(crate) fn owes_null(&self) -> bool {
+        !self.state.null_sent
+            && local_clock(&self.ports) == NULL_TS
+            && self.ports.iter().all(PortQueue::is_empty)
+    }
+}
 
 /// One input port: its FIFO event queue and receive clock.
 ///
 /// The queue owns handles, not events; pass the owning arena to any
 /// method that moves an event in or out.
 #[derive(Debug, Clone)]
-pub struct PortQueue<V = Logic> {
+pub struct PortQueue {
     /// Pending events as `(time, handle)`, in arrival (= nondecreasing
     /// timestamp) order. The mirrored time keeps clock reads arena-free.
     refs: VecDeque<(Timestamp, EventRef)>,
     /// Timestamp of the last message received on this port; [`NULL_TS`]
     /// once the NULL message arrived.
     last_ts: Timestamp,
-    _payload: std::marker::PhantomData<V>,
 }
 
-impl<V> PortQueue<V> {
+impl PortQueue {
     /// A fresh port: nothing received yet.
     pub fn new() -> Self {
         PortQueue {
             refs: VecDeque::new(),
             last_ts: 0,
-            _payload: std::marker::PhantomData,
         }
     }
 
     /// Deliver a payload event (must not regress this port's clock).
     #[inline]
-    pub fn push(&mut self, arena: &mut EventArena<V>, event: Event<V>) {
+    pub fn push(&mut self, arena: &mut EventArena, event: Event) {
         debug_assert!(
             event.time >= self.last_ts,
             "per-port arrivals must be nondecreasing ({} < {})",
@@ -134,7 +277,7 @@ impl<V> PortQueue<V> {
     /// Pop the head event if its timestamp is ≤ `bound`, reclaiming its
     /// arena slot. The single-event safe-to-process primitive.
     #[inline]
-    pub fn pop_ready(&mut self, arena: &mut EventArena<V>, bound: Timestamp) -> Option<Event<V>> {
+    pub fn pop_ready(&mut self, arena: &mut EventArena, bound: Timestamp) -> Option<Event> {
         match self.refs.front() {
             Some(&(t, _)) if t != NULL_TS && t <= bound => {
                 let (_, r) = self.refs.pop_front().expect("head exists");
@@ -144,37 +287,17 @@ impl<V> PortQueue<V> {
         }
     }
 
-    /// Pop *every* event with timestamp ≤ `bound` into `out` (appending),
-    /// one batch per node wakeup instead of a pop per event. Returns the
-    /// number of events moved. Events from one port are already in
-    /// timestamp order; use [`drain_ready`] for the cross-port merge.
-    pub fn drain_batch(
-        &mut self,
-        arena: &mut EventArena<V>,
-        bound: Timestamp,
-        out: &mut Vec<Event<V>>,
-    ) -> usize {
-        let before = out.len();
-        while let Some(ev) = self.pop_ready(arena, bound) {
-            out.push(ev);
-        }
-        out.len() - before
-    }
-
     /// Move *all* queued events out in order (regardless of readiness),
     /// reclaiming their arena slots: cross-arena handoff (migration) and
     /// teardown. The receive clock is left untouched.
-    pub fn take_events(&mut self, arena: &mut EventArena<V>) -> Vec<Event<V>> {
+    pub fn take_events(&mut self, arena: &mut EventArena) -> Vec<Event> {
         self.refs.drain(..).map(|(_, r)| arena.take(r)).collect()
     }
 
     /// Copy the queued events out in order, leaving the queue untouched
     /// (checkpoint capture).
-    pub fn snapshot_events(&self, arena: &EventArena<V>) -> Vec<Event<V>>
-    where
-        V: Clone,
-    {
-        self.refs.iter().map(|&(_, r)| arena.get(r).clone()).collect()
+    pub fn snapshot_events(&self, arena: &EventArena) -> Vec<Event> {
+        self.refs.iter().map(|&(_, r)| *arena.get(r)).collect()
     }
 
     /// Rebuild a port from checkpointed state: `events` are re-homed
@@ -182,9 +305,9 @@ impl<V> PortQueue<V> {
     /// (bypassing the push-time monotonicity bookkeeping, which already
     /// held when the snapshot was taken).
     pub fn restore(
-        arena: &mut EventArena<V>,
+        arena: &mut EventArena,
         last_ts: Timestamp,
-        events: impl IntoIterator<Item = Event<V>>,
+        events: impl IntoIterator<Item = Event>,
     ) -> Self {
         let refs = events
             .into_iter()
@@ -193,15 +316,11 @@ impl<V> PortQueue<V> {
                 (t, arena.alloc(ev))
             })
             .collect();
-        PortQueue {
-            refs,
-            last_ts,
-            _payload: std::marker::PhantomData,
-        }
+        PortQueue { refs, last_ts }
     }
 }
 
-impl<V> Default for PortQueue<V> {
+impl Default for PortQueue {
     fn default() -> Self {
         Self::new()
     }
@@ -210,7 +329,7 @@ impl<V> Default for PortQueue<V> {
 /// The local clock: minimum "last received" over all ports ([`NULL_TS`]
 /// for nodes without input ports, i.e. circuit inputs).
 #[inline]
-pub fn local_clock<V>(ports: &[PortQueue<V>]) -> Timestamp {
+pub fn local_clock(ports: &[PortQueue]) -> Timestamp {
     ports.iter().map(|p| p.last_ts).min().unwrap_or(NULL_TS)
 }
 
@@ -218,11 +337,12 @@ pub fn local_clock<V>(ports: &[PortQueue<V>]) -> Timestamp {
 /// into `temp`, merged in (timestamp, port) order — the paper's
 /// "temporary queue" of §4.5.1, batched per node wakeup. `temp` is the
 /// caller's reusable scratch buffer. Returns the number of events moved.
-pub fn drain_ready<V>(
-    ports: &mut [PortQueue<V>],
-    arena: &mut EventArena<V>,
+#[inline]
+pub fn drain_ready(
+    ports: &mut [PortQueue],
+    arena: &mut EventArena,
     clock: Timestamp,
-    temp: &mut Vec<(PortIx, Event<V>)>,
+    temp: &mut Vec<(PortIx, Event)>,
 ) -> usize {
     let before = temp.len();
     loop {
@@ -250,7 +370,7 @@ pub fn drain_ready<V>(
 /// completely after receiving NULL on every port and still owes its own
 /// NULL message downstream (`null_sent == false`).
 #[inline]
-pub fn is_active<V>(ports: &[PortQueue<V>], null_sent: bool) -> bool {
+pub fn is_active(ports: &[PortQueue], null_sent: bool) -> bool {
     let clock = local_clock(ports);
     let min_head = ports.iter().map(|p| p.head_ts()).min().unwrap_or(NULL_TS);
     if min_head != NULL_TS && min_head <= clock {
@@ -360,16 +480,16 @@ mod tests {
     }
 
     #[test]
-    fn pop_ready_and_drain_batch_respect_bound() {
+    fn pop_ready_respects_bound() {
         let mut arena = EventArena::new();
         let mut p = PortQueue::new();
         p.push(&mut arena, ev(2));
         p.push(&mut arena, ev(4));
         p.push(&mut arena, ev(9));
         assert!(p.pop_ready(&mut arena, 1).is_none());
-        let mut out = Vec::new();
-        assert_eq!(p.drain_batch(&mut arena, 4, &mut out), 2);
-        assert_eq!(out.iter().map(|e| e.time).collect::<Vec<_>>(), vec![2, 4]);
+        assert_eq!(p.pop_ready(&mut arena, 4).map(|e| e.time), Some(2));
+        assert_eq!(p.pop_ready(&mut arena, 4).map(|e| e.time), Some(4));
+        assert!(p.pop_ready(&mut arena, 4).is_none());
         assert_eq!(p.pop_ready(&mut arena, 100).map(|e| e.time), Some(9));
         assert!(p.is_empty());
         assert_eq!(arena.live(), 0);
@@ -427,7 +547,7 @@ mod tests {
         ports[0].push(&mut arena, ev(3));
         assert!(!is_active(&ports, false));
         // Fully drained after NULLs, null not yet forwarded → active.
-        let mut ports = vec![PortQueue::<Logic>::new()];
+        let mut ports = vec![PortQueue::new()];
         ports[0].push_null();
         assert!(is_active(&ports, false));
         assert!(!is_active(&ports, true));
@@ -435,7 +555,7 @@ mod tests {
 
     #[test]
     fn advance_clock_is_monotone_and_respects_null() {
-        let mut p = PortQueue::<Logic>::new();
+        let mut p = PortQueue::new();
         p.advance_clock(5);
         assert_eq!(p.last_ts(), 5);
         p.advance_clock(3); // stale promise: ignored
@@ -463,6 +583,51 @@ mod tests {
         assert_eq!(l.values(2), &[Logic::Zero, Logic::Zero]);
         l.set(1, Logic::One);
         assert_eq!(l.values(2), &[Logic::Zero, Logic::One]);
+    }
+
+    #[test]
+    fn fire_follows_the_node_kind() {
+        use circuit::{DelayModel, GateKind};
+        let delays = DelayModel::standard();
+
+        let mut input = NodeState::new(NodeKind::Input, &delays);
+        let out = input.fire(0, Event::new(4, Logic::One));
+        assert_eq!(out, Some(Event::new(4 + delays.input, Logic::One)));
+        assert_eq!(input.final_value(), Logic::One, "an input latches what it drove");
+
+        let mut and = NodeState::new(NodeKind::Gate(GateKind::And), &delays);
+        let t = delays.of(GateKind::And);
+        assert_eq!(and.fire(0, Event::new(2, Logic::One)), Some(Event::new(2 + t, Logic::Zero)));
+        assert_eq!(and.fire(1, Event::new(3, Logic::One)), Some(Event::new(3 + t, Logic::One)));
+        assert_eq!(and.final_value(), Logic::One);
+
+        let mut output = NodeState::new(NodeKind::Output, &delays);
+        assert_eq!(output.fire(0, Event::new(9, Logic::One)), None);
+        assert_eq!(output.waveform.events(), &[Event::new(9, Logic::One)]);
+        assert_eq!(output.final_value(), Logic::One);
+    }
+
+    #[test]
+    fn final_outputs_follow_node_and_output_order() {
+        use circuit::{CircuitBuilder, DelayModel};
+        let delays = DelayModel::standard();
+        let mut b = CircuitBuilder::new();
+        let a = b.add_input("a");
+        let y = b.add_output("y", a);
+        let z = b.add_output("z", a);
+        let c = b.build().expect("valid circuit");
+        let mut states: Vec<NodeState> =
+            c.nodes().iter().map(|n| NodeState::new(n.kind, &delays)).collect();
+        states[a.index()].fire(0, Event::new(1, Logic::One));
+        states[z.index()].fire(0, Event::new(5, Logic::One));
+        let (values, waveforms) = final_outputs(&c, states);
+        assert_eq!(values[a.index()], Logic::One);
+        assert_eq!(values[y.index()], Logic::Zero);
+        assert_eq!(values[z.index()], Logic::One);
+        let order: Vec<usize> = c.outputs().iter().map(|o| o.index()).collect();
+        assert_eq!(order, vec![y.index(), z.index()]);
+        assert!(waveforms[0].is_empty());
+        assert_eq!(waveforms[1].events(), &[Event::new(5, Logic::One)]);
     }
 
     #[test]

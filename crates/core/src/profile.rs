@@ -50,7 +50,7 @@ pub fn available_parallelism(
     delays: &DelayModel,
 ) -> ParallelismProfile {
     let mut sim = Sim::new(circuit, stimulus, delays);
-    let mut current: Vec<NodeId> = sim.initially_active();
+    let mut current: Vec<NodeId> = sim.initially_active().to_vec();
     let mut queued = vec![false; circuit.num_nodes()];
     for &id in &current {
         queued[id.index()] = true;

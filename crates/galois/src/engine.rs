@@ -26,7 +26,7 @@ use circuit::{Circuit, DelayModel, NodeId, NodeKind, Stimulus};
 use crossbeam_utils::Backoff;
 use des::engine::{Engine, SimOutput};
 use des::event::{Event, NULL_TS};
-use des::monitor::Waveform;
+use des::node::{final_outputs, node_delay};
 use des::stats::SimStats;
 use fault::{FaultPlan, RunCtl, RunPolicy, SimError, StallSnapshot, Watchdog, WorkerSnapshot};
 
@@ -197,16 +197,7 @@ impl<'a> GaloisSim<'a> {
         let nodes = circuit
             .nodes()
             .iter()
-            .map(|n| {
-                UnsafeCell::new(GNode::new(
-                    n.kind,
-                    match n.kind {
-                        NodeKind::Input => delays.input,
-                        NodeKind::Output => delays.output,
-                        NodeKind::Gate(kind) => delays.of(kind),
-                    },
-                ))
-            })
+            .map(|n| UnsafeCell::new(GNode::new(n.kind, node_delay(n.kind, delays))))
             .collect();
         GaloisSim {
             circuit,
@@ -315,31 +306,13 @@ impl<'a> GaloisSim<'a> {
             backoff_waits: 0,
             ..SimStats::default()
         };
-        let nodes = self.nodes;
-        let node_ref = |ix: usize| -> &GNode {
-            // SAFETY: quiescent epilogue.
-            unsafe { &*nodes[ix].get() }
-        };
-        for ix in 0..nodes.len() {
-            let n = node_ref(ix);
+        let nodes = self.nodes.into_vec().into_iter().map(UnsafeCell::into_inner);
+        let states = nodes.enumerate().map(|(ix, n)| {
             debug_assert!(n.queue.is_empty(), "node {ix} has undrained events");
             debug_assert!(n.null_sent, "node {ix} never forwarded NULL");
-        }
-        let node_values = (0..nodes.len())
-            .map(|ix| {
-                let n = node_ref(ix);
-                match n.kind {
-                    NodeKind::Input | NodeKind::Output => n.latch.0[0],
-                    NodeKind::Gate(kind) => kind.eval(n.latch.values(kind.arity())),
-                }
-            })
-            .collect();
-        let waveforms: Vec<Waveform> = self
-            .circuit
-            .outputs()
-            .iter()
-            .map(|&o| node_ref(o.index()).waveform.clone())
-            .collect();
+            n.state
+        });
+        let (node_values, waveforms) = final_outputs(self.circuit, states);
         SimOutput {
             stats,
             waveforms,
@@ -524,16 +497,20 @@ impl Iteration {
             .position(|&i| i == id)
             .expect("id is an input node");
         let fanout = &sim.circuit.node(id).fanout;
-        let delay = {
+        {
             // SAFETY: we own ix.
-            unsafe { sim.node_mut(ix as usize) }.delay
-        };
+            let node = unsafe { sim.node_mut(ix as usize) };
+            self.undo.push(UndoOp::Latch { node: ix, old: node.latch });
+        }
         for tv in sim.stimulus.input_events(input_ix) {
             self.delivered += 1;
             self.processed += 1;
-            let out = Event::new(tv.time + delay, tv.value);
-            for &t in fanout {
-                self.deliver(sim, t, out)?;
+            // SAFETY: we own ix; the borrow ends before `deliver` below.
+            let fired = unsafe { sim.node_mut(ix as usize) }.fire(0, Event::new(tv.time, tv.value));
+            if let Some(out) = fired {
+                for &t in fanout {
+                    self.deliver(sim, t, out)?;
+                }
             }
         }
         for &t in fanout {
@@ -542,10 +519,6 @@ impl Iteration {
         {
             // SAFETY: we own ix.
             let node = unsafe { sim.node_mut(ix as usize) };
-            self.undo.push(UndoOp::Latch { node: ix, old: node.latch });
-            if let Some(last) = sim.stimulus.input_events(input_ix).last() {
-                node.latch.set(0, last.value);
-            }
             self.undo.push(UndoOp::NullSent { node: ix });
             node.null_sent = true;
         }
@@ -580,22 +553,13 @@ impl Iteration {
             let emitted = {
                 let node = unsafe { sim.node_mut(ix as usize) };
                 self.undo.push(UndoOp::Latch { node: ix, old: node.latch });
-                node.latch.set(port, value);
-                match node.kind {
-                    NodeKind::Output => {
-                        self.undo.push(UndoOp::WaveformLen {
-                            node: ix,
-                            old_len: node.waveform.len(),
-                        });
-                        node.waveform.record(Event::new(key.0, value));
-                        None
-                    }
-                    NodeKind::Gate(kind) => {
-                        let out = kind.eval(node.latch.values(kind.arity()));
-                        Some(Event::new(key.0 + node.delay, out))
-                    }
-                    NodeKind::Input => unreachable!("inputs use execute_input"),
+                if matches!(node.kind, NodeKind::Output) {
+                    self.undo.push(UndoOp::WaveformLen {
+                        node: ix,
+                        old_len: node.waveform.len(),
+                    });
                 }
+                node.fire(port, Event::new(key.0, value))
             };
             if let Some(out) = emitted {
                 for &t in fanout {

@@ -1,49 +1,43 @@
 //! Node state as the Galois-Java DES benchmark keeps it: one **ordered**
 //! event queue per node (Java's `PriorityQueue`; here an ordered map so
-//! speculative removal is possible), per-port receive clocks, latched
-//! inputs. The paper's §4.5.1 attributes ~50% of the HJ version's win to
-//! replacing exactly this per-node priority queue with per-port deques.
+//! speculative removal is possible) and per-port receive clocks, around
+//! the shared circuit node state ([`NodeState`]: latched inputs, NULL
+//! flag, waveform). The paper's §4.5.1 attributes ~50% of the HJ
+//! version's win to replacing exactly this per-node priority queue with
+//! per-port deques.
 
 use std::collections::BTreeMap;
+use std::ops::{Deref, DerefMut};
 
 use circuit::{Logic, NodeKind, PortIx};
 use des::event::{Event, Timestamp, NULL_TS};
-use des::monitor::Waveform;
-use des::node::Latch;
+use des::node::NodeState;
 
 /// Orders events within a node's queue: time-major, then insertion
 /// sequence (keeps per-driver FIFO for equal timestamps).
 pub type EventKey = (Timestamp, u64);
 
-/// One node of the Galois simulation.
+/// One node of the Galois simulation: the shared node state (reached
+/// through `Deref`) plus the Galois-Java queue and clocks.
 #[derive(Debug)]
 pub struct GNode {
-    pub kind: NodeKind,
-    pub delay: u64,
+    pub state: NodeState,
     /// The per-node ordered event queue (PriorityQueue equivalent).
     pub queue: BTreeMap<EventKey, (PortIx, Logic)>,
     /// Next insertion sequence number.
     pub next_seq: u64,
     /// Per-port "last received" clocks.
     pub last_ts: Vec<Timestamp>,
-    pub latch: Latch,
-    pub null_sent: bool,
-    /// Circuit outputs: observed events.
-    pub waveform: Waveform,
 }
 
 impl GNode {
     /// Fresh state for a node of the given kind.
     pub fn new(kind: NodeKind, delay: u64) -> Self {
         GNode {
-            kind,
-            delay,
+            state: NodeState::with_delay(kind, delay),
             queue: BTreeMap::new(),
             next_seq: 0,
             last_ts: vec![0; kind.num_inputs()],
-            latch: Latch::new(),
-            null_sent: false,
-            waveform: Waveform::new(),
         }
     }
 
@@ -97,6 +91,20 @@ impl GNode {
             Some((&(t, _), _)) => t <= clock,
             None => clock == NULL_TS && !self.null_sent,
         }
+    }
+}
+
+impl Deref for GNode {
+    type Target = NodeState;
+
+    fn deref(&self) -> &NodeState {
+        &self.state
+    }
+}
+
+impl DerefMut for GNode {
+    fn deref_mut(&mut self) -> &mut NodeState {
+        &mut self.state
     }
 }
 

@@ -12,10 +12,10 @@ use std::collections::VecDeque;
 
 use circuit::{Circuit, DelayModel, NodeId, NodeKind, Stimulus};
 use des::engine::{Engine, SimOutput};
-use fault::SimError;
 use des::event::{Event, NULL_TS};
-use des::monitor::Waveform;
+use des::node::{final_outputs, node_delay};
 use des::stats::SimStats;
+use fault::SimError;
 
 use crate::gnode::GNode;
 
@@ -44,16 +44,7 @@ impl Engine for GaloisSeqEngine {
         let mut nodes: Vec<GNode> = circuit
             .nodes()
             .iter()
-            .map(|n| {
-                GNode::new(
-                    n.kind,
-                    match n.kind {
-                        NodeKind::Input => delays.input,
-                        NodeKind::Output => delays.output,
-                        NodeKind::Gate(kind) => delays.of(kind),
-                    },
-                )
-            })
+            .map(|n| GNode::new(n.kind, node_delay(n.kind, delays)))
             .collect();
         let mut stats = SimStats::default();
         let mut workset: VecDeque<NodeId> = circuit.inputs().iter().copied().collect();
@@ -65,7 +56,7 @@ impl Engine for GaloisSeqEngine {
         while let Some(id) = workset.pop_front() {
             queued[id.index()] = false;
             stats.node_runs += 1;
-            let fanout = circuit.node(id).fanout.clone();
+            let fanout = &circuit.node(id).fanout;
             match nodes[id.index()].kind {
                 NodeKind::Input => {
                     let input_ix = circuit
@@ -73,45 +64,29 @@ impl Engine for GaloisSeqEngine {
                         .iter()
                         .position(|&i| i == id)
                         .expect("id is an input node");
-                    let delay = nodes[id.index()].delay;
                     for tv in stimulus.input_events(input_ix) {
                         stats.events_delivered += 1;
                         stats.events_processed += 1;
-                        let out = Event::new(tv.time + delay, tv.value);
-                        for &t in &fanout {
-                            stats.events_delivered += 1;
-                            nodes[t.node.index()].insert(t.port, out);
+                        let fired = nodes[id.index()].fire(0, Event::new(tv.time, tv.value));
+                        if let Some(out) = fired {
+                            for &t in fanout {
+                                stats.events_delivered += 1;
+                                nodes[t.node.index()].insert(t.port, out);
+                            }
                         }
                     }
-                    for &t in &fanout {
+                    for &t in fanout {
                         stats.nulls_sent += 1;
                         nodes[t.node.index()].receive_null(t.port);
-                    }
-                    if let Some(last) = stimulus.input_events(input_ix).last() {
-                        nodes[id.index()].latch.set(0, last.value);
                     }
                     nodes[id.index()].null_sent = true;
                 }
                 _ => {
                     while let Some((key, port, value)) = nodes[id.index()].pop_ready() {
                         stats.events_processed += 1;
-                        let emitted = {
-                            let node = &mut nodes[id.index()];
-                            node.latch.set(port, value);
-                            match node.kind {
-                                NodeKind::Output => {
-                                    node.waveform.record(Event::new(key.0, value));
-                                    None
-                                }
-                                NodeKind::Gate(kind) => {
-                                    let out = kind.eval(node.latch.values(kind.arity()));
-                                    Some(Event::new(key.0 + node.delay, out))
-                                }
-                                NodeKind::Input => unreachable!(),
-                            }
-                        };
-                        if let Some(out) = emitted {
-                            for &t in &fanout {
+                        let fired = nodes[id.index()].fire(port, Event::new(key.0, value));
+                        if let Some(out) = fired {
+                            for &t in fanout {
                                 stats.events_delivered += 1;
                                 nodes[t.node.index()].insert(t.port, out);
                             }
@@ -123,7 +98,7 @@ impl Engine for GaloisSeqEngine {
                     };
                     if owes_null {
                         nodes[id.index()].null_sent = true;
-                        for &t in &fanout {
+                        for &t in fanout {
                             stats.nulls_sent += 1;
                             nodes[t.node.index()].receive_null(t.port);
                         }
@@ -145,18 +120,7 @@ impl Engine for GaloisSeqEngine {
             debug_assert!(node.queue.is_empty(), "node {i} has undrained events");
             debug_assert!(node.null_sent, "node {i} never forwarded NULL");
         }
-        let node_values = nodes
-            .iter()
-            .map(|n| match n.kind {
-                NodeKind::Input | NodeKind::Output => n.latch.0[0],
-                NodeKind::Gate(kind) => kind.eval(n.latch.values(kind.arity())),
-            })
-            .collect();
-        let waveforms: Vec<Waveform> = circuit
-            .outputs()
-            .iter()
-            .map(|&o| std::mem::take(&mut nodes[o.index()].waveform))
-            .collect();
+        let (node_values, waveforms) = final_outputs(circuit, nodes.into_iter().map(|n| n.state));
         Ok(SimOutput {
             stats,
             waveforms,

@@ -136,3 +136,77 @@ fn total_events_match_path_count_law() {
         + c.inputs().len() as u64;
     assert_eq!(out.stats.events_delivered, per_vector * vectors as u64);
 }
+
+/// FNV-1a over everything a deterministic circuit engine hands back:
+/// every raw waveform event `(time, value)` (glitches included, not only
+/// the settled view), every node value, and the four run counters that
+/// fix the event order (`events_delivered`, `events_processed`,
+/// `nulls_sent`, `node_runs`).
+fn raw_digest(out: &des::engine::SimOutput) -> u64 {
+    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut feed = |word: u64| {
+        for b in word.to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(FNV_PRIME);
+        }
+    };
+    for wf in &out.waveforms {
+        feed(wf.len() as u64);
+        for e in wf.events() {
+            feed(e.time);
+            feed(e.value.as_bit());
+        }
+    }
+    for v in &out.node_values {
+        feed(v.as_bit());
+    }
+    let st = &out.stats;
+    for n in [st.events_delivered, st.events_processed, st.nulls_sent, st.node_runs] {
+        feed(n);
+    }
+    h
+}
+
+/// The deterministic circuit engines' raw output is pinned bit for bit:
+/// ks64 under random vectors and `full_adder` at period 1 (every vector
+/// lands on the previous one's tail, so equal timestamps are dense).
+/// `check_equivalent` compares only settled waveforms, so this is the
+/// check that a change to a node's firing rule, its final-value rule or
+/// an engine's scheduling left every event in its order.
+#[test]
+fn raw_output_of_deterministic_engines_is_pinned() {
+    use circuit::generators::full_adder;
+    use des::engine::seq_heap::SeqHeapEngine;
+    use galois::GaloisSeqEngine;
+
+    let d = DelayModel::standard();
+    let ks64 = kogge_stone_adder(64);
+    let ks64_s = Stimulus::random_vectors(&ks64, 20, 10, 3);
+    let fa = full_adder();
+    let fa_s = Stimulus::random_vectors(&fa, 25, 1, 3);
+    let engines: [(&str, Box<dyn Engine>); 4] = [
+        ("seq-workset", Box::new(SeqWorksetEngine::new())),
+        ("seq-heap", Box::new(SeqHeapEngine::new())),
+        ("galois-seq", Box::new(GaloisSeqEngine::new())),
+        (
+            "sharded-k1",
+            Box::new(ShardedEngine::from_config(&EngineConfig::default().with_shards(1))),
+        ),
+    ];
+    let expected: [(&str, u64, u64); 4] = [
+        ("seq-workset", 0xc1be_07da_8cd9_1886, 0xeba5_c304_c082_57b4),
+        ("seq-heap", 0x5317_2591_ac68_96e2, 0xbed6_f392_0a19_286b),
+        ("galois-seq", 0xe683_ff0d_f615_25b3, 0x2ff1_1974_b314_51ad),
+        ("sharded-k1", 0xc1be_07da_8cd9_1886, 0xeba5_c304_c082_57b4),
+    ];
+    let got: Vec<(&str, u64, u64)> = engines
+        .iter()
+        .map(|(name, engine)| {
+            let ks = raw_digest(&engine.run(&ks64, &ks64_s, &d));
+            let fa = raw_digest(&engine.run(&fa, &fa_s, &d));
+            (*name, ks, fa)
+        })
+        .collect();
+    assert_eq!(got, expected, "(engine, ks64 digest, full_adder digest)");
+}

@@ -111,3 +111,43 @@ fn enabled_obs_is_visible_to_the_allocation_counter() {
     );
     assert_eq!(recorder.recent_traces(200)[0].records.len(), 100);
 }
+
+/// `seq-workset` allocates nothing per node run. With the off recorder,
+/// what a run allocates is its setup: a port list per node and a deque
+/// per port that carries an event (plus the arena and workset, which grow
+/// logarithmically). Each node of a chain runs once, so a longer chain
+/// adds as many node runs as nodes; the allocations it adds must stay
+/// within that setup, one per node and one per port.
+#[test]
+fn seq_workset_allocations_do_not_grow_with_node_runs() {
+    use circuit::generators::inverter_chain;
+    use circuit::{DelayModel, Stimulus};
+    use des::engine::seq::SeqWorksetEngine;
+    use des::Engine;
+
+    let _serial = SERIAL.lock().unwrap();
+    let d = DelayModel::standard();
+    let engine = SeqWorksetEngine::new();
+    let measure = |len: usize| {
+        let c = inverter_chain(len);
+        let s = Stimulus::random_vectors(&c, 1, 10, 5);
+        COUNTED.set(true);
+        let before = allocations();
+        let out = engine.run(&c, &s, &d);
+        let allocated = allocations() - before;
+        COUNTED.set(false);
+        let ports: usize = c.nodes().iter().map(|n| n.kind.num_inputs()).sum();
+        (out.stats.node_runs, c.num_nodes() + ports, allocated)
+    };
+    let (small_runs, small_setup, small_allocs) = measure(1_000);
+    let (big_runs, big_setup, big_allocs) = measure(4_000);
+    let extra_runs = big_runs - small_runs;
+    let extra_setup = big_setup - small_setup;
+    let extra_allocs = big_allocs.saturating_sub(small_allocs);
+    assert!(extra_runs >= 3_000, "the longer chain adds node runs ({extra_runs})");
+    assert!(
+        extra_allocs <= extra_setup + 16,
+        "{extra_allocs} more allocations for {extra_runs} more node runs \
+         (setup accounts for {extra_setup})"
+    );
+}
