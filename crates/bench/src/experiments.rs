@@ -25,7 +25,6 @@ pub const EXPERIMENTS: &[Experiment] = &[
     Experiment { name: "fig7", summary: "mean execution time ± 95% CI at max workers" },
     Experiment { name: "ablation", summary: "ablation of the §4.5 optimizations" },
     Experiment { name: "paper", summary: "gate: hj faster at 2 workers than at 1 and than seq" },
-    Experiment { name: "shard", summary: "sharded engine partition quality and cut traffic" },
     Experiment { name: "rebalance", summary: "dynamic shard rebalancing under skew" },
     Experiment { name: "net", summary: "distributed fabric: sockets loopback run" },
     Experiment { name: "faults", summary: "fault-injection drills and structured failures" },
@@ -35,15 +34,6 @@ pub const EXPERIMENTS: &[Experiment] = &[
         summary: "fleet telemetry: merged trace, clock offsets, straggler report",
     },
     Experiment { name: "recover", summary: "checkpoint/restore recovery drill" },
-    Experiment { name: "phold", summary: "PHOLD + M/M/c model workloads, seq vs sharded" },
-    Experiment {
-        name: "replicate",
-        summary: "replication sweep: runs/sec scaling and bit-identical aggregates",
-    },
-    Experiment {
-        name: "mem",
-        summary: "memory layer: owned heap vs arena, batched drain, core pinning",
-    },
 ];
 
 /// All experiment names, `all`-expansion order.

@@ -132,6 +132,8 @@ impl Scale {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use des::engine::seq::SeqWorksetEngine;
+    use des::engine::Engine;
 
     #[test]
     fn paper_scale_matches_table1_initial_events() {
@@ -150,6 +152,17 @@ mod tests {
         let b = PaperCircuit::Ks64.workload(Scale::tiny());
         assert_eq!(a.stimulus, b.stimulus);
         assert_eq!(a.circuit.num_nodes(), b.circuit.num_nodes());
+    }
+
+    #[test]
+    fn seq_workset_runs_each_node_once() {
+        // An input emits its whole stimulus and its NULL in one run, so
+        // each gate turns active once, when its whole fanin has closed.
+        for pc in PaperCircuit::ALL {
+            let w = pc.workload(Scale::tiny());
+            let out = SeqWorksetEngine::new().run(&w.circuit, &w.stimulus, &w.delays);
+            assert_eq!(out.stats.node_runs, w.circuit.num_nodes() as u64, "{}", w.name);
+        }
     }
 
     #[test]

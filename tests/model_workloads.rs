@@ -8,7 +8,7 @@
 
 use std::time::Duration;
 
-use des::{EngineConfig, FaultPlan, SimError};
+use des::{EngineConfig, FaultPlan, PartitionStrategy, SimError};
 use model::phold::{self, PholdConfig};
 use model::queueing::{self, MmcSpec};
 use model::{try_run, Component, Ctx, EventSource, ModelGraph, ModelOutput};
@@ -65,12 +65,23 @@ fn phold_is_deterministic_across_repeat_runs() {
 fn phold_matches_across_engines_and_shard_counts() {
     let reference = run_seq(phold_graph(7));
     assert!(reference.stats.events_delivered > 100, "workload too small to be meaningful");
-    for k in [1, 2, 4] {
-        let sharded = run_sharded(phold_graph(7), k);
+    // The default partition keeps ring neighbours together; round-robin
+    // cuts every remote hop, so each one crosses the mailbox fabric.
+    let (default_cut, round_robin) = (PartitionStrategy::default(), PartitionStrategy::RoundRobin);
+    for (k, strategy) in [
+        (1, default_cut),
+        (2, default_cut),
+        (4, default_cut),
+        (2, round_robin),
+        (4, round_robin),
+    ] {
+        let cfg = EngineConfig::new().with_shards(k).with_strategy(strategy);
+        let sharded = model::run("model-sharded", &cfg, phold_graph(7));
         reference.assert_equivalent(&sharded);
         assert_eq!(
             reference.stats.events_delivered, sharded.stats.events_delivered,
-            "event count diverges at K={k}"
+            "event count diverges at K={k} ({})",
+            strategy.name()
         );
     }
 }
