@@ -435,10 +435,10 @@ fn paper_check(opts: &Options) {
 
 /// Dynamic repartitioning experiment (DESIGN.md §10): a deliberately
 /// skewed stimulus concentrates events on a few inputs of ks128, so the
-/// node-count-balanced static partition is badly load-imbalanced. The
-/// rebalancing engine must observe that imbalance at its epoch barriers,
-/// migrate boundary nodes off the hot shard, and report a lower observed
-/// imbalance — with the deterministic observables untouched.
+/// node-count-balanced static partition is badly load-imbalanced. Asserts
+/// that the rebalancing engine rebalances at least once and that its
+/// deterministic observables equal the static engine's; the observed
+/// imbalance before and after is printed, not asserted.
 fn rebalance_experiment(opts: &Options) {
     use des::engine::sharded::ShardedEngine;
     use des::validate::check_equivalent;

@@ -1,23 +1,17 @@
-//! Arena-backed event storage for the hot path.
+//! A generational slab of events, used by no engine.
 //!
-//! Every queue-based engine used to shuffle owned `Event` values through
-//! per-port `VecDeque`s: each cross-port move was a copy, and the deques
-//! themselves grew and shrank on whatever thread happened to touch them.
-//! [`EventArena`] replaces that with one slab per execution context (a
-//! `seq-workset` run or a sharded core's thread; every node the context
-//! runs shares it): events
-//! live in a contiguous slot vector allocated on the owning thread
-//! (first touch pins the pages to that thread's NUMA node when the
-//! thread itself is pinned), queues hold 8-byte [`EventRef`] handles,
-//! and freed slots are recycled through a LIFO free list so
-//! steady-state simulation allocates nothing.
+//! The per-port queues once held [`EventRef`] handles into one
+//! [`EventArena`] per `seq-workset` run or shard thread. They own their
+//! events now ([`crate::node::PortQueue`]), which measured 31–46 % more
+//! `ks128-seq` events/s on a 2-vCPU host (DESIGN.md §15). This module
+//! stays only because the repository benchmark's
+//! `core.arena_ns_per_alloc_take` probe still times `alloc`/`take`; it
+//! is deleted with that probe (ROADMAP item 0).
 //!
 //! Handles are *generational*: each slot carries a generation counter
 //! that is bumped when the slot is freed, and a ref minted for an
 //! earlier generation panics on access instead of silently reading
-//! whatever event was recycled into the slot. That turns
-//! use-after-free — the classic slab bug — into a deterministic,
-//! testable failure.
+//! whatever event was recycled into the slot.
 
 use crate::event::Event;
 
@@ -47,10 +41,8 @@ struct Slot {
     ev: Option<Event>,
 }
 
-/// A slab of in-flight events with free-list reuse and generational
-/// handles. One arena per execution context (a sequential run or a shard
-/// thread), shared by every node it runs — never
-/// shared across threads, so no interior mutability and no contention.
+/// A slab of events with free-list reuse and generational handles. Not
+/// shared across threads: no interior mutability and no contention.
 #[derive(Debug, Clone)]
 pub struct EventArena {
     slots: Vec<Slot>,
@@ -67,8 +59,7 @@ impl EventArena {
     }
 
     /// An arena with room for `capacity` live events before any slot
-    /// vector growth. Call this on the thread that will own the arena:
-    /// the slots are written here, so first-touch places them locally.
+    /// vector growth.
     pub fn with_capacity(capacity: usize) -> Self {
         let capacity = capacity.min(u32::MAX as usize);
         let mut slots = Vec::with_capacity(capacity);
@@ -157,8 +148,7 @@ impl EventArena {
         self.live
     }
 
-    /// Most events ever live at once — the working-set size a
-    /// pre-sized arena should use.
+    /// Most events ever live at once.
     pub fn high_water(&self) -> usize {
         self.high_water
     }

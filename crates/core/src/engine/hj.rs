@@ -25,7 +25,9 @@
 //! * each node's core (latches, temp queue, waveform) is accessed only by
 //!   the task holding the node's claim flag (at most one at a time);
 //! * clocks/head timestamps/claim flags are atomics with SeqCst ordering
-//!   where the producer↔retiring-consumer handoff needs it;
+//!   where the producer↔retiring-consumer handoff needs it. A port's
+//!   clock and head mirrors are stored under its lock once per node run
+//!   that changed them, not once per event (see `publish_fanout`);
 //! * run counters are task-local: each task counts into its own
 //!   [`SimStats`] tally (failed trylocks included) and merges it once,
 //!   under the one `totals` mutex, when it retires. Nothing shared is
@@ -292,7 +294,9 @@ fn stall_snapshot(
 /// Value stored in the `head_ts`/`last_ts` mirrors for "empty"/"initial".
 const EMPTY: u64 = NULL_TS;
 
-/// One input port of the parallel state.
+/// One input port of the parallel state. Both mirrors are written only
+/// under the port's lock, before it is released, so whoever takes the
+/// lock sees them equal to the queue.
 struct PPort {
     /// Guarded by this port's registry lock.
     queue: UnsafeCell<VecDeque<Event>>,
@@ -665,38 +669,52 @@ fn run_claimed<'s, 'e>(
     let core = unsafe { &mut *node.core.get() };
 
     // Drain ready events into the temporary queue (§4.5.1) while holding
-    // the own-port locks.
+    // the own-port locks. Every mirror is published under its port's
+    // lock, so here each must equal what it mirrors.
     let mut clock = u64::MAX;
-    for port in node.ports.iter() {
-        clock = clock.min(port.last_ts.load(Ordering::SeqCst));
-    }
-    core.temp.clear();
-    loop {
-        let mut best: Option<(usize, Timestamp)> = None;
-        for (i, port) in node.ports.iter().enumerate() {
-            let h = port.head_ts.load(Ordering::SeqCst);
-            if h != EMPTY && h <= clock && best.is_none_or(|(_, bh)| h < bh) {
-                best = Some((i, h));
-            }
-        }
-        let Some((i, _)) = best else { break };
+    for (i, port) in node.ports.iter().enumerate() {
         // SAFETY: we hold port i's lock (it is in `lock_plan`).
-        let queue = unsafe { &mut *node.ports[i].queue.get() };
-        let Some(ev) = queue.pop_front() else {
+        let front = unsafe { &*port.queue.get() }.front().map_or(EMPTY, |e| e.time);
+        let mirror = port.head_ts.load(Ordering::SeqCst);
+        if mirror != front {
             // A desynced head mirror is unrecoverable state corruption:
             // surface it as a structured error and retire. The locker's
             // RAII drop releases every held lock, cancellation stops the
             // respawn protocol, and `try_run` reports the violation.
             sim.ctl.record_error(SimError::invariant(format!(
-                "node {}: port {i} head mirror says non-empty but queue is empty",
+                "node {}: port {i} head mirror {mirror} but queue front {front}",
                 id.index()
             )));
             return;
-        };
-        node.ports[i]
-            .head_ts
-            .store(queue.front().map_or(EMPTY, |e| e.time), Ordering::SeqCst);
+        }
+        clock = clock.min(port.last_ts.load(Ordering::SeqCst));
+    }
+    core.temp.clear();
+    // Ports popped from, as a bitmask (a node has at most two ports).
+    let mut popped = 0u32;
+    loop {
+        let mut best: Option<(usize, Timestamp)> = None;
+        for (i, port) in node.ports.iter().enumerate() {
+            // SAFETY: as above.
+            let h = unsafe { &*port.queue.get() }.front().map_or(EMPTY, |e| e.time);
+            if h != EMPTY && h <= clock && best.is_none_or(|(_, bh)| h < bh) {
+                best = Some((i, h));
+            }
+        }
+        let Some((i, _)) = best else { break };
+        // SAFETY: as above.
+        let queue = unsafe { &mut *node.ports[i].queue.get() };
+        let ev = queue.pop_front().expect("head exists");
+        popped |= 1 << i;
         core.temp.push((i as PortIx, ev));
+    }
+    // One mirror store per port popped from, still under its lock.
+    for (i, port) in node.ports.iter().enumerate() {
+        if popped & (1 << i) != 0 {
+            // SAFETY: as above.
+            let front = unsafe { &*port.queue.get() }.front().map_or(EMPTY, |e| e.time);
+            port.head_ts.store(front, Ordering::SeqCst);
+        }
     }
 
     // Early release of own-port locks so producers can deliver while we
@@ -715,14 +733,19 @@ fn run_claimed<'s, 'e>(
     // Process the temporary queue (the paper's SIMULATE).
     let drained_events = core.temp.len() as u64;
     tally.events_processed += drained_events;
+    let mut emitted = false;
     for &(port, ev) in &core.temp {
         if let Some(out) = core.state.fire(port, ev) {
+            emitted = true;
             for &(t, _) in node.fanout.iter() {
                 deliver(sim, tally, t, out);
             }
         }
     }
     core.temp.clear();
+    if emitted {
+        publish_fanout(sim, node);
+    }
 
     // NULL forwarding: all ports closed and drained.
     let drained = node.ports.iter().all(|p| {
@@ -769,6 +792,9 @@ fn run_input(sim: &ParSim<'_>, tally: &mut SimStats, id: NodeId) -> u64 {
     }
     tally.events_delivered += emitted;
     tally.events_processed += emitted;
+    if emitted > 0 {
+        publish_fanout(sim, node);
+    }
     for &(t, _) in node.fanout.iter() {
         deliver_null(sim, tally, t);
     }
@@ -778,7 +804,8 @@ fn run_input(sim: &ParSim<'_>, tally: &mut SimStats, id: NodeId) -> u64 {
 }
 
 /// Deliver one payload event to `target`'s port. Caller holds the port's
-/// lock.
+/// lock and publishes the port's mirrors with [`publish_fanout`] once
+/// its run has delivered everything.
 #[inline]
 fn deliver(sim: &ParSim<'_>, tally: &mut SimStats, target: Target, event: Event) {
     tally.events_delivered += 1;
@@ -786,13 +813,38 @@ fn deliver(sim: &ParSim<'_>, tally: &mut SimStats, target: Target, event: Event)
     debug_assert!(port.last_ts.load(Ordering::SeqCst) != NULL_TS, "event after NULL");
     // SAFETY: caller holds this port's registry lock.
     let queue = unsafe { &mut *port.queue.get() };
-    let was_empty = queue.is_empty();
     debug_assert!(queue.back().is_none_or(|b| b.time <= event.time));
     queue.push_back(event);
-    if was_empty {
-        port.head_ts.store(event.time, Ordering::SeqCst);
+}
+
+/// Publish the `head_ts`/`last_ts` mirrors of every fanout port of
+/// `node`, once per run that delivered at least one event: a node sends
+/// each event it emits to its whole fanout, so such a run delivered to
+/// every fanout port, and none of them can be closed yet (its NULL comes
+/// from this node, after this call). A run that delivered nothing must
+/// not call this — rewriting `last_ts` from the queue would reopen a
+/// port this node's NULL already closed.
+///
+/// Ordering: every store is `SeqCst`, and happens while the caller
+/// still holds the port's lock, before the caller's NULLs, its
+/// `release_all`, and the `schedule` claim CAS on the consumer. So a
+/// consumer that takes the lock next reads mirrors that equal its
+/// queues, and the claim/re-check handoff is unchanged from a store per
+/// event: either our claim CAS follows the running consumer's unclaim
+/// (we spawn it), or it precedes it, and then so do these stores, and
+/// the consumer's exit re-check sees them.
+fn publish_fanout(sim: &ParSim<'_>, node: &PNode) {
+    for &(t, _) in node.fanout.iter() {
+        let port = &sim.nodes[t.node.index()].ports[t.port as usize];
+        debug_assert!(port.last_ts.load(Ordering::SeqCst) != NULL_TS, "publish after NULL");
+        // SAFETY: the caller holds this port's registry lock.
+        let queue = unsafe { &*port.queue.get() };
+        let (Some(head), Some(last)) = (queue.front(), queue.back()) else {
+            unreachable!("a run that emitted delivered to every fanout port");
+        };
+        port.head_ts.store(head.time, Ordering::SeqCst);
+        port.last_ts.store(last.time, Ordering::SeqCst);
     }
-    port.last_ts.store(event.time, Ordering::SeqCst);
 }
 
 /// Deliver the NULL message to `target`'s port. Caller holds the port's
@@ -810,8 +862,13 @@ mod tests {
     use super::*;
     use crate::engine::seq::SeqWorksetEngine;
     use crate::monitor::Waveform;
-    use circuit::generators::{c17, fanout_tree, full_adder, kogge_stone_adder, wallace_multiplier};
+    use circuit::generators::{
+        c17, fanout_tree, full_adder, inverter_chain, kogge_stone_adder, wallace_multiplier,
+    };
     use circuit::Stimulus;
+
+    /// Rounds of [`repeated_runs_match_seq_on_multiplier_and_kogge_stone`].
+    const REPEATS: usize = 15;
 
     fn all_configs() -> Vec<HjEngineConfig> {
         let mut configs = Vec::new();
@@ -885,6 +942,76 @@ mod tests {
         let c = wallace_multiplier(6);
         let s = Stimulus::random_vectors(&c, 4, 5, 17);
         check_against_seq(&c, &s, 4);
+    }
+
+    /// A lost wakeup or a reopened port shows in a fraction of runs, so
+    /// the multiplier and adder checks above repeat at two and four
+    /// workers.
+    #[test]
+    fn repeated_runs_match_seq_on_multiplier_and_kogge_stone() {
+        let mult = wallace_multiplier(6);
+        let mult_s = Stimulus::random_vectors(&mult, 4, 5, 17);
+        let ks = kogge_stone_adder(16);
+        let ks_s = Stimulus::random_vectors(&ks, 4, 5, 13);
+        for _ in 0..REPEATS {
+            for workers in [2, 4] {
+                check_against_seq(&mult, &mult_s, workers);
+                check_against_seq(&ks, &ks_s, workers);
+            }
+        }
+    }
+
+    /// A producer run that delivers nothing publishes no port mirror: a
+    /// spurious run after the producer's NULL leaves the consumer's
+    /// closed port closed, with its queued events untouched.
+    #[test]
+    fn spurious_run_after_null_leaves_the_consumer_port_closed() {
+        let c = inverter_chain(2);
+        let s = Stimulus::random_vectors(&c, 4, 5, 1);
+        let delays = DelayModel::standard();
+        let sim = ParSim::new(
+            &c,
+            &s,
+            &delays,
+            HjEngineConfig::default(),
+            Arc::new(FaultPlan::none()),
+            Arc::new(RunCtl::new()),
+            Recorder::noop(),
+            "hj-test",
+            None,
+        );
+        let input = c.inputs()[0];
+        let producer = c.node(input).fanout[0].node;
+        let consumer = c.node(producer).fanout[0].node;
+        // Hold every claim, so no run schedules another.
+        for id in [input, producer, consumer] {
+            assert!(sim.claim(id));
+        }
+        let rt = HjRuntime::new(1);
+        let mut tally = SimStats::default();
+        rt.finish(|scope| run_claimed(&sim, scope, input, &mut tally));
+        rt.finish(|scope| run_claimed(&sim, scope, producer, &mut tally));
+        let port = &sim.nodes[consumer.index()].ports[0];
+        // SAFETY: no run is in progress between the `finish` calls.
+        let queued = || unsafe { &*port.queue.get() }.len();
+        let (head, len) = (port.head_ts.load(Ordering::SeqCst), queued());
+        assert_eq!(port.last_ts.load(Ordering::SeqCst), NULL_TS, "producer sent its NULL");
+        assert!(len > 0 && head != EMPTY, "events wait behind the NULL");
+
+        let delivered = tally.events_delivered;
+        rt.finish(|scope| run_claimed(&sim, scope, producer, &mut tally));
+        assert_eq!(tally.events_delivered, delivered, "the spurious run delivers nothing");
+        assert_eq!(port.last_ts.load(Ordering::SeqCst), NULL_TS, "port reopened");
+        assert_eq!((port.head_ts.load(Ordering::SeqCst), queued()), (head, len));
+
+        // The consumer still finishes the run the sequential engine does.
+        sim.unclaim(input);
+        sim.unclaim(producer);
+        rt.finish(|scope| pump(&sim, scope, consumer, true));
+        let seq = SeqWorksetEngine::new().run(&c, &s, &delays);
+        let par = sim.into_output();
+        assert_eq!(par.node_values, seq.node_values);
+        assert_eq!(par.waveforms, seq.waveforms);
     }
 
     /// Task-local tallies merged at retire count exactly what the

@@ -3,9 +3,11 @@
 //!
 //! A [`PinPolicy`] maps shard indices to CPU cores. The sharded engines
 //! apply it in one place, [`super::threads::ShardThreads::run`], which
-//! pins each shard thread *before* the shard builds its state, so its
-//! arena and queues are first-touched — and therefore page-homed — on
-//! the core that will run them. The last shard runs on the calling
+//! pins each shard thread *before* the shard builds its state. Pinning
+//! is placement only: observables are bit-identical under every policy.
+//! Whether first touch from the pinned core homes a shard's queues on
+//! its NUMA node has not been measured; the 2-vCPU hosts this repository
+//! is measured on have one node. The last shard runs on the calling
 //! thread, which is pinned for the run only: its previous mask is saved
 //! first and put back afterwards. Pinning uses
 //! raw `sched_setaffinity`/`sched_getaffinity` syscalls on x86_64 Linux

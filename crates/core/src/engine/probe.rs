@@ -31,10 +31,10 @@ pub(crate) struct RunProbe {
     tracer: Tracer,
     node_run_ns: Histogram,
     event_process_ns: Histogram,
-    /// Live events in this thread's arena (`sim_arena_live`).
-    arena_live: Gauge,
-    /// High-water arena occupancy (`sim_arena_high_water`).
-    arena_high: Gauge,
+    /// Events queued on this shard thread's ports (`sim_arena_live`).
+    queued: Gauge,
+    /// Most events ever queued there at once (`sim_arena_high_water`).
+    queued_high: Gauge,
     /// Ready-batch size per node wakeup (`sim_drain_batch_events`).
     batch_events: Histogram,
     /// Node-run sampling clock (first run is always sampled).
@@ -73,8 +73,8 @@ impl RunProbe {
             tracer: recorder.tracer(thread),
             node_run_ns: recorder.histogram("sim_node_run_ns", &labels),
             event_process_ns: recorder.histogram("sim_event_process_ns", &labels),
-            arena_live: recorder.gauge(obs::ARENA_LIVE, &thread_labels),
-            arena_high: recorder.gauge(obs::ARENA_HIGH_WATER, &thread_labels),
+            queued: recorder.gauge(obs::ARENA_LIVE, &thread_labels),
+            queued_high: recorder.gauge(obs::ARENA_HIGH_WATER, &thread_labels),
             batch_events: recorder.histogram(obs::DRAIN_BATCH_EVENTS, &labels),
             runs: AtomicU64::new(0),
             hot_ticks: AtomicU64::new(0),
@@ -99,8 +99,8 @@ impl RunProbe {
             tracer: Tracer::off(),
             node_run_ns: Histogram::off(),
             event_process_ns: Histogram::off(),
-            arena_live: Gauge::off(),
-            arena_high: Gauge::off(),
+            queued: Gauge::off(),
+            queued_high: Gauge::off(),
             batch_events: Histogram::off(),
             runs: AtomicU64::new(0),
             hot_ticks: AtomicU64::new(0),
@@ -117,17 +117,17 @@ impl RunProbe {
         if !self.tracer.is_enabled() {
             return;
         }
-        if self.hot_ticks.fetch_add(1, Ordering::Relaxed) & HOT_SAMPLE_MASK == 0 {
+        if sample(&self.hot_ticks) {
             self.tracer.instant(kind, a, b);
         }
     }
 
-    /// Publish the thread's arena occupancy (live now + high water).
-    /// One relaxed store each when enabled, one branch when not.
+    /// Publish the thread's queued events (now + high water). One
+    /// relaxed store each when enabled, one branch when not.
     #[inline]
-    pub(crate) fn arena(&self, live: usize, high_water: usize) {
-        self.arena_live.set(live as u64);
-        self.arena_high.set_max(high_water as u64);
+    pub(crate) fn queued(&self, now: usize, high_water: usize) {
+        self.queued.set(now as u64);
+        self.queued_high.set_max(high_water as u64);
     }
 
     /// Record the size of one drained ready-batch (batched delivery
@@ -154,14 +154,11 @@ impl RunProbe {
     /// Open a `NodeRun` span for `node` on sampled runs (1 in 64; the
     /// first run is always sampled). Returns the start time iff this
     /// run is recorded, so the disabled path never reads the clock and
-    /// unsampled runs cost one relaxed `fetch_add`. Nothing reaches the
+    /// unsampled runs cost a relaxed load and store. Nothing reaches the
     /// ring until [`RunProbe::end`] emits the complete record.
     #[inline]
     pub(crate) fn begin(&self, _node: usize) -> Option<Instant> {
-        if !self.tracer.is_enabled() {
-            return None;
-        }
-        if self.runs.fetch_add(1, Ordering::Relaxed) & HOT_SAMPLE_MASK != 0 {
+        if !self.tracer.is_enabled() || !sample(&self.runs) {
             return None;
         }
         Some(Instant::now())
@@ -180,6 +177,19 @@ impl RunProbe {
             self.event_process_ns.record(per_event);
         }
     }
+}
+
+/// Advance a sampling clock and say whether this tick is kept (1 in
+/// `HOT_SAMPLE_MASK + 1`). A relaxed load and store, not a `fetch_add`:
+/// the hot path pays no atomic read-modify-write. A shard thread owns
+/// its probe, so its ticks are exact; `hj` tasks share one probe across
+/// workers, where a tick lost to a racing store only shifts which
+/// record is sampled.
+#[inline]
+fn sample(clock: &AtomicU64) -> bool {
+    let tick = clock.load(Ordering::Relaxed);
+    clock.store(tick.wrapping_add(1), Ordering::Relaxed);
+    tick & HOT_SAMPLE_MASK == 0
 }
 
 #[cfg(test)]
@@ -237,7 +247,7 @@ mod tests {
         let rec = Recorder::new(&ObsConfig::enabled());
         let probe = RunProbe::with_rank(&rec, "dist[p=1/2]", "shard-3", Some(1));
         probe.end(probe.begin(0), 0, 1);
-        probe.arena(1, 1);
+        probe.queued(1, 1);
         probe.counter("sim_null_wait_ns_total", &[("peer", "2")]).add(7);
         let hists = rec.histogram_values();
         let node_run = hists
@@ -268,8 +278,8 @@ mod tests {
     fn arena_and_batch_metrics_flow_through() {
         let rec = Recorder::new(&ObsConfig::enabled());
         let probe = RunProbe::with_rank(&rec, "test[a]", "w0", None);
-        probe.arena(5, 9);
-        probe.arena(2, 7); // high water is monotone, live tracks current
+        probe.queued(5, 9);
+        probe.queued(2, 7); // high water is monotone, live tracks current
         probe.batch(4);
         probe.batch(0); // empty wakeups are not recorded
         let gauges = rec.gauge_values();

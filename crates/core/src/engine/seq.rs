@@ -16,7 +16,6 @@ use std::time::Instant;
 
 use circuit::{Circuit, DelayModel, NodeId, NodeKind, PortIx, Stimulus, Target};
 
-use crate::arena::EventArena;
 use crate::engine::config::EngineConfig;
 use crate::engine::probe::RunProbe;
 use crate::engine::{Engine, SimOutput};
@@ -97,8 +96,6 @@ pub(crate) struct Sim<'a> {
     circuit: &'a Circuit,
     stimulus: &'a Stimulus,
     nodes: Vec<PortNode>,
-    /// Slab holding every in-flight event; queues hold handles into it.
-    arena: EventArena,
     stats: SimStats,
     /// Scratch for ready events, reused across runs (allocation hygiene).
     temp: Vec<(PortIx, Event)>,
@@ -111,7 +108,6 @@ impl<'a> Sim<'a> {
             circuit,
             stimulus,
             nodes: circuit.nodes().iter().map(|n| PortNode::new(n.kind, delays)).collect(),
-            arena: EventArena::new(),
             stats: SimStats::default(),
             temp: Vec::new(),
         }
@@ -151,7 +147,7 @@ impl<'a> Sim<'a> {
     fn emit(&mut self, fanout: &[Target], event: Event) {
         for &t in fanout {
             self.stats.events_delivered += 1;
-            self.nodes[t.node.index()].ports[t.port as usize].push(&mut self.arena, event);
+            self.nodes[t.node.index()].ports[t.port as usize].push_event(event);
         }
     }
 
@@ -190,7 +186,7 @@ impl<'a> Sim<'a> {
     fn run_gate_or_output(&mut self, id: NodeId) {
         let mut temp = std::mem::take(&mut self.temp);
         temp.clear();
-        self.nodes[id.index()].drain_ready(&mut self.arena, &mut temp);
+        self.nodes[id.index()].drain_ready(&mut temp);
 
         let fanout = &self.circuit.node(id).fanout;
         for &(port, ev) in &temp {
@@ -223,7 +219,6 @@ impl<'a> Sim<'a> {
             );
             debug_assert!(node.state.null_sent, "node {i} never forwarded NULL");
         }
-        debug_assert_eq!(self.arena.live(), 0, "undrained events leaked in the arena");
         let (node_values, waveforms) =
             final_outputs(self.circuit, self.nodes.into_iter().map(|n| n.state));
         SimOutput {

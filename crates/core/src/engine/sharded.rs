@@ -92,7 +92,6 @@ use obs::{Counter, SpanKind};
 use shard::comm::{incoming_cut_edges, outgoing_cut_edges, CutEdge, ShardMsg};
 use shard::{plan_rebalance, Partition, PartitionMetrics, RebalancePolicy, ShardId, ShardLoad};
 
-use crate::arena::EventArena;
 use crate::engine::checkpoint::{self, CheckpointSink, NodeSnapshot, PortSnapshot, ShardSnapshot};
 use crate::engine::config::EngineConfig;
 use crate::engine::pin::PinPolicy;
@@ -101,7 +100,7 @@ use crate::engine::threads::{ShardSlot, ShardThreads};
 use crate::engine::{Engine, SimOutput};
 use crate::event::{Event, Timestamp, NULL_TS};
 use crate::monitor::Waveform;
-use crate::node::{Latch, NodeState, PortNode, PortQueue};
+use crate::node::{Latch, PortNode, PortQueue};
 use crate::stats::SimStats;
 
 /// Default per-shard inbox capacity. Small enough that backpressure is
@@ -454,44 +453,11 @@ pub(crate) struct ShardOutcome {
 /// filled by the donor before it sends [`ShardMsg::Transferred`] and
 /// emptied by the new owner after it holds a `Transferred` from every
 /// active peer — the channel round is what sequences the lock accesses.
+/// A node's state and its port queues *are* its complete simulation
+/// state, and the queues own their events, so a migrated node moves
+/// wholesale and resumes exactly where the donor stopped.
 pub(crate) struct MigrationBus {
-    slots: Vec<Mutex<Option<MigratedNode>>>,
-}
-
-/// A node's state serialized for cross-shard migration. A node's state
-/// and its port queues *are* its complete simulation state, so a migrated
-/// node resumes exactly where the donor stopped. [`crate::EventRef`]
-/// handles are arena-local, so the donor moves the queued events *out*
-/// of its arena at park and the adopter re-homes them into its own at
-/// take; the node state moves wholesale.
-pub(crate) struct MigratedNode {
-    state: NodeState,
-    /// Per input port: receive clock + queued events in arrival order.
-    ports: Vec<(Timestamp, Vec<Event>)>,
-}
-
-/// Serialize `node` out of the donor's `arena` for the migration bus.
-fn park_node(node: PortNode, arena: &mut EventArena) -> MigratedNode {
-    MigratedNode {
-        state: node.state,
-        ports: node
-            .ports
-            .into_iter()
-            .map(|mut p| (p.last_ts(), p.take_events(arena)))
-            .collect(),
-    }
-}
-
-/// Re-home a parked node's events into the adopter's `arena`.
-fn adopt_node(mig: MigratedNode, arena: &mut EventArena) -> PortNode {
-    PortNode {
-        state: mig.state,
-        ports: mig
-            .ports
-            .into_iter()
-            .map(|(last_ts, events)| PortQueue::restore(arena, last_ts, events))
-            .collect(),
-    }
+    slots: Vec<Mutex<Option<PortNode>>>,
 }
 
 impl MigrationBus {
@@ -501,12 +467,12 @@ impl MigrationBus {
         }
     }
 
-    fn park(&self, ix: usize, node: MigratedNode) {
+    fn park(&self, ix: usize, node: PortNode) {
         let prev = self.slots[ix].lock().unwrap().replace(node);
         debug_assert!(prev.is_none(), "node {ix} parked twice");
     }
 
-    fn take(&self, ix: usize) -> MigratedNode {
+    fn take(&self, ix: usize) -> PortNode {
         self.slots[ix]
             .lock()
             .unwrap()
@@ -735,11 +701,13 @@ pub(crate) struct ShardCore<'a, L: Link> {
     waits_and_controls: u64,
     stats: SimStats,
     temp: Vec<(PortIx, Event)>,
-    /// Slab backing every event queued on this shard. Built on the shard
-    /// thread (after pinning) so its pages are first-touched from the
-    /// core the thread runs on.
-    arena: EventArena,
-    /// Where this shard publishes arena occupancy for stall snapshots.
+    /// Events queued on this shard's ports right now.
+    events_queued: usize,
+    /// Most events ever queued at once, sampled before each decrease
+    /// (drain, park): a peak is always followed by one, or is still
+    /// `events_queued`.
+    events_high: usize,
+    /// Where this shard publishes its queued events for stall snapshots.
     slot: &'a ShardSlot,
     /// `Some` iff dynamic repartitioning is enabled for this run.
     reb: Option<RebalanceRt<'a>>,
@@ -753,8 +721,7 @@ pub(crate) struct ShardCore<'a, L: Link> {
 
 impl<'a, L: Link> ShardCore<'a, L> {
     /// Build the core for `link`'s shard on the calling (already
-    /// pinned) thread, so its arena and port queues are first-touched
-    /// there.
+    /// pinned) thread, so its port queues are first-touched there.
     pub(crate) fn new(shards: &'a LocalShards<'a>, link: L) -> Self {
         let (circuit, delays) = (shards.circuit, shards.delays);
         let partition = (*shards.partition).clone();
@@ -764,7 +731,7 @@ impl<'a, L: Link> ShardCore<'a, L> {
         for &id in &owned {
             nodes[id.index()] = Some(PortNode::new(circuit.node(id).kind, delays));
         }
-        let mut arena = EventArena::new();
+        let mut events_queued = 0;
         let cut_out = outgoing_cut_edges(circuit, &partition, shard);
         let last_floor = vec![0; cut_out.len()];
         let cut_in = incoming_cut_edges(circuit, &partition, shard);
@@ -800,8 +767,9 @@ impl<'a, L: Link> ShardCore<'a, L> {
                 slot.ports = ns
                     .ports
                     .iter()
-                    .map(|p| PortQueue::restore(&mut arena, p.last_ts, p.events.iter().copied()))
+                    .map(|p| PortQueue::restore(p.last_ts, p.events.iter().copied()))
                     .collect();
+                events_queued += slot.queued_events();
                 let mut wf = Waveform::new();
                 for &e in &ns.waveform {
                     wf.record(e);
@@ -835,7 +803,8 @@ impl<'a, L: Link> ShardCore<'a, L> {
             waits_and_controls: 0,
             stats,
             temp: Vec::new(),
-            arena,
+            events_queued,
+            events_high: events_queued,
             slot: shards.threads.slot(shard - shards.local.start),
             reb,
             ckpt,
@@ -859,6 +828,13 @@ impl<'a, L: Link> ShardCore<'a, L> {
 
     fn owns(&self, id: NodeId) -> bool {
         self.partition.shard_of(id) == self.shard
+    }
+
+    /// Publish this shard's queued events where the watchdog and metrics
+    /// can see them (relaxed stores: diagnostic, not synchronizing).
+    fn publish_queued(&self) {
+        self.slot.record_queued(self.events_queued);
+        self.probe.queued(self.events_queued, self.events_high.max(self.events_queued));
     }
 
     /// The shard's main loop: drain inbox, run active nodes, and when
@@ -893,10 +869,7 @@ impl<'a, L: Link> ShardCore<'a, L> {
             }
         }
         loop {
-            // Publish arena occupancy where the watchdog and metrics can
-            // see it (relaxed stores: diagnostic, not synchronizing).
-            self.slot.record_arena(self.arena.live());
-            self.probe.arena(self.arena.live(), self.arena.high_water());
+            self.publish_queued();
             if self.ctl.is_cancelled() {
                 return;
             }
@@ -1136,7 +1109,7 @@ impl<'a, L: Link> ShardCore<'a, L> {
                         .iter()
                         .map(|p| PortSnapshot {
                             last_ts: p.last_ts(),
-                            events: p.snapshot_events(&self.arena),
+                            events: p.snapshot_events(),
                         })
                         .collect(),
                     waveform: n.state.waveform.events().to_vec(),
@@ -1167,7 +1140,8 @@ impl<'a, L: Link> ShardCore<'a, L> {
                     .as_mut()
                     .expect("owned node")
                     .ports[target.port as usize]
-                    .push(&mut self.arena, Event::new(time, value));
+                    .push_event(Event::new(time, value));
+                self.events_queued += 1;
                 self.activate(target.node);
             }
             ShardMsg::Null { target, time } => {
@@ -1397,12 +1371,13 @@ impl<'a, L: Link> ShardCore<'a, L> {
                         m.to as u64,
                     );
                     let node = self.nodes[m.node.index()].take().expect("donor owns the node");
-                    let parked = park_node(node, &mut self.arena);
+                    self.events_high = self.events_high.max(self.events_queued);
+                    self.events_queued -= node.queued_events();
                     self.reb
                         .as_ref()
                         .expect("rebalance enabled")
                         .bus
-                        .park(m.node.index(), parked);
+                        .park(m.node.index(), node);
                     self.stats.nodes_migrated += 1;
                 }
             }
@@ -1414,9 +1389,10 @@ impl<'a, L: Link> ShardCore<'a, L> {
             self.await_peers(|rt, s| rt.transferred[s])?;
             for m in &plan.moves {
                 if m.to == self.shard {
-                    let parked =
+                    let node =
                         self.reb.as_ref().expect("rebalance enabled").bus.take(m.node.index());
-                    self.nodes[m.node.index()] = Some(adopt_node(parked, &mut self.arena));
+                    self.events_queued += node.queued_events();
+                    self.nodes[m.node.index()] = Some(node);
                 }
             }
             self.owned = self.partition.nodes_of(self.shard);
@@ -1589,7 +1565,8 @@ impl<'a, L: Link> ShardCore<'a, L> {
                 .as_mut()
                 .expect("owned node")
                 .ports[target.port as usize]
-                .push(&mut self.arena, event);
+                .push_event(event);
+            self.events_queued += 1;
             self.activate(target.node);
         } else {
             self.stats.cut_events_sent += 1;
@@ -1676,10 +1653,8 @@ impl<'a, L: Link> ShardCore<'a, L> {
     fn run_gate_or_output(&mut self, id: NodeId) -> Result<(), Stopped> {
         let mut temp = std::mem::take(&mut self.temp);
         temp.clear();
-        self.nodes[id.index()]
-            .as_mut()
-            .expect("owned node")
-            .drain_ready(&mut self.arena, &mut temp);
+        self.events_high = self.events_high.max(self.events_queued);
+        self.events_queued -= self.node_mut(id).drain_ready(&mut temp);
         self.probe.batch(temp.len() as u64);
 
         let circuit = self.circuit;
@@ -1742,6 +1717,7 @@ impl<'a, L: Link> ShardCore<'a, L> {
     /// Finalize after clean termination: verify the Chandy–Misra
     /// invariants and extract this shard's slice of the output.
     pub(crate) fn into_outcome(mut self) -> ShardOutcome {
+        self.publish_queued();
         let link_stats = self.link.stats();
         self.stats.net_frames_sent += link_stats.frames_sent;
         self.stats.net_bytes_sent += link_stats.bytes_sent;
@@ -1768,11 +1744,7 @@ impl<'a, L: Link> ShardCore<'a, L> {
                 waveforms.push((out_ix, std::mem::take(&mut node.state.waveform)));
             }
         }
-        debug_assert_eq!(
-            self.arena.live(),
-            0,
-            "undrained events leaked in the shard arena"
-        );
+        debug_assert_eq!(self.events_queued, 0, "undrained events leaked on the shard");
         ShardOutcome {
             stats: self.stats,
             values,
@@ -1877,11 +1849,11 @@ mod tests {
 
     #[test]
     fn arena_matches_owned_heap_oracle_across_k_and_pin_policies() {
-        // The seq-heap engine stores whole owned events in a global
-        // binary heap — it never touches `PortQueue` or `EventArena` —
-        // so it is the owned-representation oracle: if the arena layer
-        // dropped, duplicated, or reordered anything, the observables
-        // (node values, settled waveforms, events_delivered) diverge.
+        // The seq-heap engine stores its events in one global binary
+        // heap — it never touches `PortQueue` — so it is the oracle for
+        // the per-port queues: if they dropped, duplicated, or reordered
+        // anything, the observables (node values, settled waveforms,
+        // events_delivered) diverge.
         let c = kogge_stone_adder(16);
         let s = Stimulus::random_vectors(&c, 5, 4, 29);
         let delays = DelayModel::standard();
@@ -1962,9 +1934,9 @@ mod tests {
 
     #[test]
     fn checkpoint_restore_round_trips_arena_backed_queues() {
-        // A mid-run checkpoint snapshots non-empty arena-backed port
-        // queues (via `snapshot_events`); restoring re-homes every event
-        // into the new shard's arena (via `PortQueue::restore`). Kill the
+        // A mid-run checkpoint copies non-empty port queues out (via
+        // `snapshot_events`); restoring queues every event again on the
+        // new shard (via `PortQueue::restore`). Kill the
         // first life at epoch 2, restore the second — the resumed run
         // must reproduce the uninterrupted reference exactly, with
         // pinning on so the restore path also crosses pinned threads.
@@ -2017,6 +1989,37 @@ mod tests {
                 events.iter().all(|&e| e > 0),
                 "k={k}: events per shard {events:?}"
             );
+        }
+    }
+
+    /// The queued-event gauges count what the arena's `live()` and
+    /// `high_water()` counted when the queues held arena handles. Shard 0
+    /// has no incoming cut edge, so its high water does not depend on
+    /// message timing: on this run the arena's `high_water()` read 1336
+    /// for it at the end of every run. Shard 1's depends on when shard
+    /// 0's batches arrive.
+    #[test]
+    fn queued_event_high_water_matches_the_arena_it_replaced() {
+        let c = kogge_stone_adder(16);
+        let s = Stimulus::random_vectors(&c, 4, 5, 13);
+        let partition = Partition::build(&c, 2, PartitionStrategy::default());
+        assert!(incoming_cut_edges(&c, &partition, 0).is_empty());
+        let recorder = obs::Recorder::new(&obs::ObsConfig::enabled());
+        let cfg = cfg_k(2).with_recorder(recorder.clone());
+        let out = ShardedEngine::from_config(&cfg).run(&c, &s, &DelayModel::standard());
+        let gauge = |name: &str, shard: &str| {
+            recorder
+                .gauge_values()
+                .into_iter()
+                .find(|(n, labels, _)| n == name && labels.contains(shard))
+                .map(|(_, _, v)| v)
+                .unwrap_or_else(|| panic!("{name} for {shard} not published"))
+        };
+        assert_eq!(gauge(obs::ARENA_HIGH_WATER, "shard-0"), 1336);
+        let shard1 = gauge(obs::ARENA_HIGH_WATER, "shard-1");
+        assert!(shard1 > 0 && shard1 <= out.stats.events_delivered, "shard-1 high water {shard1}");
+        for shard in ["shard-0", "shard-1"] {
+            assert_eq!(gauge(obs::ARENA_LIVE, shard), 0, "{shard} ends with nothing queued");
         }
     }
 

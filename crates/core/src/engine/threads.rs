@@ -42,11 +42,11 @@ pub struct ShardThreads {
 
 /// What one shard thread publishes lock-free for the watchdog's stall
 /// snapshot. `usize::MAX` is the "not recorded" sentinel (unpinned
-/// thread / arena not yet running).
+/// thread / shard not yet running).
 pub(crate) struct ShardSlot {
     done: AtomicBool,
     pinned: AtomicUsize,
-    arena_live: AtomicUsize,
+    queued_events: AtomicUsize,
 }
 
 impl ShardSlot {
@@ -54,13 +54,13 @@ impl ShardSlot {
         ShardSlot {
             done: AtomicBool::new(false),
             pinned: AtomicUsize::new(usize::MAX),
-            arena_live: AtomicUsize::new(usize::MAX),
+            queued_events: AtomicUsize::new(usize::MAX),
         }
     }
 
-    /// Publish the shard arena's current live-event count.
-    pub(crate) fn record_arena(&self, live: usize) {
-        self.arena_live.store(live, Ordering::Relaxed);
+    /// Publish how many events are queued on the shard's ports now.
+    pub(crate) fn record_queued(&self, events: usize) {
+        self.queued_events.store(events, Ordering::Relaxed);
     }
 
     fn recorded(v: &AtomicUsize, order: Ordering) -> Option<usize> {
@@ -158,7 +158,7 @@ impl ShardThreads {
 
     /// Arm `cfg`'s no-progress watchdog (if any) over `ctl`. On a stall
     /// it captures each shard's running/done state, pinned core and
-    /// arena occupancy, with `fabric` filling in what only the engine's
+    /// queued events, with `fabric` filling in what only the engine's
     /// transport knows: inbox depths (counted in messages), per-peer
     /// links, wait attribution, notes.
     ///
@@ -187,7 +187,7 @@ impl ShardThreads {
     }
 
     /// The watchdog's diagnostic snapshot: per-shard running/done state,
-    /// pinned core and arena occupancy beside whatever `fabric` reports,
+    /// pinned core and queued events beside whatever `fabric` reports,
     /// all read without touching simulation state.
     pub(crate) fn stall_snapshot(
         &self,
@@ -221,7 +221,7 @@ impl ShardThreads {
                 .into(),
                 queue_depth: snap.queue_depths.get(id).copied(),
                 pinned_core: ShardSlot::recorded(&s.pinned, Ordering::Acquire),
-                arena_live: ShardSlot::recorded(&s.arena_live, Ordering::Relaxed),
+                queued_events: ShardSlot::recorded(&s.queued_events, Ordering::Relaxed),
             })
             .collect();
         if fault.is_active() {
@@ -286,7 +286,7 @@ mod tests {
     fn snapshot_reports_each_shard_beside_the_fabric() {
         let threads = ShardThreads::new(&PinPolicy::None, 2).unwrap();
         threads.slots[0].done.store(true, Ordering::Release);
-        threads.slot(1).record_arena(5);
+        threads.slot(1).record_queued(5);
         let snap = threads.stall_snapshot(
             "test",
             &FaultPlan::seeded(1).wedged(),
@@ -303,8 +303,8 @@ mod tests {
         assert_eq!(snap.workers[0].state, "done");
         assert_eq!(snap.workers[1].state, "running");
         assert_eq!(snap.workers[1].queue_depth, Some(7));
-        assert_eq!(snap.workers[1].arena_live, Some(5));
-        assert_eq!(snap.workers[0].arena_live, None);
+        assert_eq!(snap.workers[1].queued_events, Some(5));
+        assert_eq!(snap.workers[0].queued_events, None);
         assert_eq!(snap.notes[0], "fabric note");
         assert!(
             snap.notes[1].contains("fault injection"),

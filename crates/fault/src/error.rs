@@ -15,8 +15,8 @@ pub struct WorkerSnapshot {
     /// Core this worker's thread is pinned to (`None` when unpinned), so
     /// wedge diagnostics attribute stalls to the right socket.
     pub pinned_core: Option<usize>,
-    /// Live events in this worker's event arena, if it owns one.
-    pub arena_live: Option<usize>,
+    /// Events queued on the ports this worker owns, if it owns any.
+    pub queued_events: Option<usize>,
 }
 
 /// Per-transport-link diagnostic state captured when a stall is detected
@@ -120,8 +120,8 @@ impl fmt::Display for StallSnapshot {
             if let Some(c) = w.pinned_core {
                 write!(f, " [core {c}]")?;
             }
-            if let Some(n) = w.arena_live {
-                write!(f, " [arena {n} live]")?;
+            if let Some(n) = w.queued_events {
+                write!(f, " [{n} queued]")?;
             }
             writeln!(f)?;
         }
@@ -376,7 +376,7 @@ mod tests {
                 state: "parked".into(),
                 queue_depth: Some(3),
                 pinned_core: Some(2),
-                arena_live: Some(17),
+                queued_events: Some(17),
             }],
             held_locks: vec![5],
             queue_depths: vec![1, 0],
@@ -409,7 +409,7 @@ mod tests {
         };
         let text = snap.to_string();
         assert!(text.contains("hj") && text.contains("parked") && text.contains("wedge"));
-        assert!(text.contains("[core 2]") && text.contains("[arena 17 live]"), "{text}");
+        assert!(text.contains("[core 2]") && text.contains("[17 queued]"), "{text}");
         assert!(text.contains("link ->1") && text.contains("64 bytes"), "{text}");
         assert!(
             text.contains("trace shard-0") && text.contains("mailbox_stall(a=2,b=0)@1234ns"),

@@ -17,13 +17,13 @@ use std::sync::Arc;
 /// Number of histogram buckets: one for zero plus one per bit width.
 pub const NUM_BUCKETS: usize = 65;
 
-/// Well-known metric name: live events in an execution context's event
-/// arena (gauge, labelled by thread). One slab per shard thread/model
-/// executor thread — the fleet-wide sum is the in-flight event population.
+/// Well-known metric name: events queued on a shard thread's input ports
+/// (gauge, labelled by thread) — the fleet-wide sum is the in-flight
+/// event population. The name predates the ports owning their events.
 pub const ARENA_LIVE: &str = "sim_arena_live";
 
-/// Well-known metric name: high-water arena occupancy (gauge): the
-/// largest in-flight event population a thread's slab held.
+/// Well-known metric name: the most events ever queued on a shard
+/// thread's input ports at once (gauge).
 pub const ARENA_HIGH_WATER: &str = "sim_arena_high_water";
 
 /// Well-known metric name: ready-batch size per node wakeup (histogram).
