@@ -25,7 +25,6 @@
 //! batch = 64              # cross-process batching threshold (msgs)
 //! watchdog_ms = 10000     # no-progress deadline (0 disables)
 //! connect_s = 30          # setup / termination deadline (seconds)
-//! pin = compact           # none | compact | spread | 0,2,4 (core list)
 //! telemetry = on          # piggyback fleet telemetry on the wire (off)
 //! telemetry_ms = 100      # worker rank-report period (milliseconds)
 //! node = 127.0.0.1:7101   # rank 0 (coordinator)
@@ -78,7 +77,7 @@ use circuit::{Circuit, DelayModel, Stimulus};
 use des::engine::seq::SeqWorksetEngine;
 use des::{
     run_node, CheckpointConfig, DistConfig, Engine, EngineConfig, FaultPlan, ObsConfig,
-    PartitionStrategy, PinPolicy, Recorder, SimOutput,
+    PartitionStrategy, Recorder, SimOutput,
 };
 use obs::prometheus::MetricsServer;
 
@@ -109,7 +108,6 @@ fn parse_config(path: &str, process: usize, restore: bool) -> Result<NodeConfig,
     let mut checkpoint_every = 0u64;
     let mut kill_rank: Option<u64> = None;
     let mut kill_epoch: Option<u64> = None;
-    let mut pinning = PinPolicy::None;
     let mut telemetry = false;
     let mut telemetry_ms = 100u64;
     for (lineno, raw) in text.lines().enumerate() {
@@ -145,7 +143,6 @@ fn parse_config(path: &str, process: usize, restore: bool) -> Result<NodeConfig,
             "checkpoint_every" => checkpoint_every = value.parse().map_err(|e| bad(&e))?,
             "kill_rank" => kill_rank = Some(value.parse().map_err(|e| bad(&e))?),
             "kill_epoch" => kill_epoch = Some(value.parse().map_err(|e| bad(&e))?),
-            "pin" => pinning = PinPolicy::parse(value).map_err(|e| bad(&e))?,
             "telemetry" => {
                 telemetry = match value {
                     "on" | "true" | "1" => true,
@@ -200,8 +197,7 @@ fn parse_config(path: &str, process: usize, restore: bool) -> Result<NodeConfig,
         .with_mailbox_capacity(mailbox)
         .with_batch_msgs(batch)
         .with_watchdog((watchdog_ms > 0).then(|| Duration::from_millis(watchdog_ms)))
-        .with_restore(restore)
-        .with_pinning(pinning);
+        .with_restore(restore);
     if let Some(cc) = checkpoint {
         engine = engine.with_checkpoints(cc.every_events, cc.dir);
     }

@@ -30,7 +30,6 @@ use shard::{PartitionStrategy, RebalancePolicy};
 use crate::engine::checkpoint::CheckpointConfig;
 use crate::engine::dist::TcpShardedEngine;
 use crate::engine::hj::HjEngine;
-use crate::engine::pin::PinPolicy;
 use crate::engine::seq::SeqWorksetEngine;
 use crate::engine::seq_heap::SeqHeapEngine;
 use crate::engine::sharded::{ShardedEngine, DEFAULT_MAILBOX_CAPACITY};
@@ -55,7 +54,6 @@ pub struct EngineConfig {
     checkpoint: Option<CheckpointConfig>,
     restore: bool,
     recovery_attempts: usize,
-    pinning: PinPolicy,
     rank: Option<u64>,
 }
 
@@ -73,7 +71,6 @@ impl Default for EngineConfig {
             checkpoint: None,
             restore: false,
             recovery_attempts: 0,
-            pinning: PinPolicy::None,
             rank: None,
         }
     }
@@ -190,15 +187,6 @@ impl EngineConfig {
         self
     }
 
-    /// Pin shard threads to cores (PARSIR-style per-CPU binding).
-    /// Honored by the `sharded`/`tcp-sharded` circuit engines and the
-    /// sharded model engine; an `Explicit` list naming an offline core
-    /// fails the run's `try_run` with [`fault::SimError::Config`].
-    pub fn with_pinning(mut self, policy: PinPolicy) -> Self {
-        self.pinning = policy;
-        self
-    }
-
     /// Tag every `sim_*` metric this config's runs emit with a `rank`
     /// label — the uniform identity scheme for fleets where several
     /// processes' metrics are aggregated side by side (`des-node`
@@ -272,11 +260,6 @@ impl EngineConfig {
     /// Checkpoint-recovery retry budget for the in-process harness.
     pub fn recovery_attempts(&self) -> usize {
         self.recovery_attempts
-    }
-
-    /// The shard-thread pin policy.
-    pub fn pinning(&self) -> &PinPolicy {
-        &self.pinning
     }
 
     /// The observability recorder (a clone; all clones share storage).
@@ -371,7 +354,6 @@ mod tests {
             .with_checkpoints(5_000, "/tmp/ckpt")
             .with_restore(true)
             .with_recovery_attempts(3)
-            .with_pinning(PinPolicy::Compact)
             .with_rank(Some(3));
         assert_eq!(cfg.workers(), 4);
         assert_eq!(cfg.shards(), 8);
@@ -386,7 +368,6 @@ mod tests {
         assert_eq!(ckpt.dir, PathBuf::from("/tmp/ckpt"));
         assert!(cfg.restore());
         assert_eq!(cfg.recovery_attempts(), 3);
-        assert_eq!(*cfg.pinning(), PinPolicy::Compact);
         assert_eq!(cfg.rank(), Some(3));
         assert!(!cfg.fault().is_active());
     }

@@ -104,10 +104,9 @@ pub struct DistConfig {
     /// fault plan, recorder, checkpointing (every rank must configure the
     /// same interval and, on one machine, the same directory), restore
     /// (all ranks of a session must agree; the resumed epoch is fenced
-    /// in the handshake) and pinning (planned over the rank's *local*
-    /// shards, so each machine uses its own cores). Its process count is
-    /// ignored in favour of `addrs`, and its rebalance policy too:
-    /// distributed runs keep their static partition.
+    /// in the handshake). Its process count is ignored in favour of
+    /// `addrs`, and its rebalance policy too: distributed runs keep their
+    /// static partition.
     pub engine: EngineConfig,
 }
 

@@ -21,7 +21,6 @@ pub mod checkpoint;
 pub mod config;
 pub mod dist;
 pub mod hj;
-pub mod pin;
 pub(crate) mod probe;
 pub mod seq;
 pub mod seq_heap;

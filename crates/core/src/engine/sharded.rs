@@ -94,7 +94,6 @@ use shard::{plan_rebalance, Partition, PartitionMetrics, RebalancePolicy, ShardI
 
 use crate::engine::checkpoint::{self, CheckpointSink, NodeSnapshot, PortSnapshot, ShardSnapshot};
 use crate::engine::config::EngineConfig;
-use crate::engine::pin::PinPolicy;
 use crate::engine::probe::RunProbe;
 use crate::engine::threads::{ShardSlot, ShardThreads};
 use crate::engine::{Engine, SimOutput};
@@ -145,12 +144,8 @@ impl Engine for ShardedEngine {
         } else {
             ""
         };
-        let pin = match self.cfg.pinning() {
-            PinPolicy::None => String::new(),
-            p => format!(",pin={}", p.label()),
-        };
         format!(
-            "sharded[k={},{}{tag}{pin}]",
+            "sharded[k={},{}{tag}]",
             self.cfg.shards(),
             self.cfg.strategy().name()
         )
@@ -241,8 +236,8 @@ pub(crate) struct LocalShards<'a> {
 
 impl<'a> LocalShards<'a> {
     /// Set up rank `rank` of `ranks` for a run of `cfg`: reset the fault
-    /// plan, partition, resolve the pin plan and, when checkpointing,
-    /// load this rank's slice of the checkpoint being restored.
+    /// plan, partition and, when checkpointing, load this rank's slice of
+    /// the checkpoint being restored.
     pub(crate) fn new(
         circuit: &'a Circuit,
         stimulus: &'a Stimulus,
@@ -269,7 +264,7 @@ impl<'a> LocalShards<'a> {
             .map(|policy| (MigrationBus::new(circuit.num_nodes()), policy));
         Ok(LocalShards {
             ckpt: checkpoint_setup(cfg, circuit, &partition, rank, ranks, local.clone())?,
-            threads: ShardThreads::new(cfg.pinning(), local.len())?,
+            threads: ShardThreads::new(local.len()),
             metrics: partition.metrics(circuit),
             waits: Arc::new(WaitMatrix::new(cfg.shards())),
             waits_and_controls: AtomicU64::new(0),
@@ -297,8 +292,8 @@ impl<'a> LocalShards<'a> {
     }
 
     /// Run one shard core per link (in local shard order) on the shard
-    /// threads. `prepare` runs on each shard's thread, after pinning and
-    /// before the core is built.
+    /// threads. `prepare` runs on each shard's thread, before the core
+    /// is built.
     pub(crate) fn run<L: Link>(
         &self,
         links: Vec<L>,
@@ -720,8 +715,7 @@ pub(crate) struct ShardCore<'a, L: Link> {
 }
 
 impl<'a, L: Link> ShardCore<'a, L> {
-    /// Build the core for `link`'s shard on the calling (already
-    /// pinned) thread, so its port queues are first-touched there.
+    /// Build the core for `link`'s shard on the calling shard thread.
     pub(crate) fn new(shards: &'a LocalShards<'a>, link: L) -> Self {
         let (circuit, delays) = (shards.circuit, shards.delays);
         let partition = (*shards.partition).clone();
@@ -1786,10 +1780,6 @@ mod tests {
         sharded(k, PartitionStrategy::default())
     }
 
-    fn pinned(k: usize, policy: PinPolicy) -> ShardedEngine {
-        ShardedEngine::from_config(&cfg_k(k).with_pinning(policy))
-    }
-
     fn check_against_seq(circuit: &Circuit, stimulus: &Stimulus) {
         let delays = DelayModel::standard();
         let seq = SeqWorksetEngine::new().run(circuit, stimulus, &delays);
@@ -1848,7 +1838,7 @@ mod tests {
     }
 
     #[test]
-    fn arena_matches_owned_heap_oracle_across_k_and_pin_policies() {
+    fn bit_identical_to_the_seq_heap_oracle_across_k() {
         // The seq-heap engine stores its events in one global binary
         // heap — it never touches `PortQueue` — so it is the oracle for
         // the per-port queues: if they dropped, duplicated, or reordered
@@ -1858,98 +1848,65 @@ mod tests {
         let s = Stimulus::random_vectors(&c, 5, 4, 29);
         let delays = DelayModel::standard();
         let oracle = crate::engine::seq_heap::SeqHeapEngine::new().run(&c, &s, &delays);
-        let policies = [PinPolicy::None, PinPolicy::Compact, PinPolicy::Spread];
         let mut reference: Option<SimOutput> = None;
         for k in [1, 2, 4, 8] {
-            for policy in &policies {
-                let out = pinned(k, policy.clone()).run(&c, &s, &delays);
-                check_equivalent(&oracle, &out)
-                    .unwrap_or_else(|e| panic!("k={k} pin={}: {e}", policy.label()));
-                // Bit-identical across every (k, pin) combination: the
-                // waveforms and values must not merely be equivalent,
-                // they must be the same bytes.
-                match &reference {
-                    None => reference = Some(out),
-                    Some(r) => {
-                        assert_eq!(r.node_values, out.node_values, "k={k} pin={}", policy.label());
-                        assert_eq!(
-                            r.waveforms.iter().map(|w| w.settled()).collect::<Vec<_>>(),
-                            out.waveforms.iter().map(|w| w.settled()).collect::<Vec<_>>(),
-                            "k={k} pin={}",
-                            policy.label()
-                        );
-                        assert_eq!(
-                            r.stats.events_delivered, out.stats.events_delivered,
-                            "k={k} pin={}",
-                            policy.label()
-                        );
-                    }
+            let out = sharded_k(k).run(&c, &s, &delays);
+            check_equivalent(&oracle, &out).unwrap_or_else(|e| panic!("k={k}: {e}"));
+            // Bit-identical across every k: the waveforms and values
+            // must not merely be equivalent, they must be the same bytes.
+            match &reference {
+                None => reference = Some(out),
+                Some(r) => {
+                    assert_eq!(r.node_values, out.node_values, "k={k}");
+                    assert_eq!(
+                        r.waveforms.iter().map(|w| w.settled()).collect::<Vec<_>>(),
+                        out.waveforms
+                            .iter()
+                            .map(|w| w.settled())
+                            .collect::<Vec<_>>(),
+                        "k={k}"
+                    );
+                    assert_eq!(
+                        r.stats.events_delivered, out.stats.events_delivered,
+                        "k={k}"
+                    );
                 }
             }
         }
     }
 
     #[test]
-    fn pinning_falls_back_when_shards_exceed_cores() {
-        // More shards than online cores: compact/spread wrap instead of
-        // failing, and the wrapped run stays bit-identical.
-        let shards = 2 * crate::engine::pin::online_cores() + 1;
+    fn oversubscribed_shards_match_seq() {
+        // More shard threads than the host has cores, on every host:
+        // the OS time-slices them and the run stays equivalent.
+        let shards = 2 * std::thread::available_parallelism().map_or(1, |n| n.get()) + 1;
         let c = c17();
         let s = Stimulus::random_vectors(&c, 6, 3, 31);
         let delays = DelayModel::standard();
         let seq = SeqWorksetEngine::new().run(&c, &s, &delays);
-        for policy in [PinPolicy::Compact, PinPolicy::Spread] {
-            let out = pinned(shards, policy).run(&c, &s, &delays);
-            check_equivalent(&seq, &out).expect("equivalent with oversubscribed pinning");
-        }
+        let out = sharded_k(shards).run(&c, &s, &delays);
+        check_equivalent(&seq, &out).expect("equivalent with oversubscribed shards");
     }
 
     #[test]
-    fn offline_core_in_explicit_pin_list_is_a_config_error() {
-        let c = c17();
-        let s = Stimulus::random_vectors(&c, 2, 3, 1);
-        let err = pinned(2, PinPolicy::Explicit(vec![0, 100_000]))
-            .try_run(&c, &s, &DelayModel::standard())
-            .expect_err("offline core must be rejected");
-        match err {
-            SimError::Config { context } => {
-                assert!(context.contains("core 100000"), "{context}")
-            }
-            other => panic!("expected Config error, got {other}"),
-        }
-    }
-
-    #[test]
-    fn name_tags_pin_policy_only_when_set() {
+    fn name_reports_k_and_strategy() {
         assert_eq!(sharded_k(2).name(), "sharded[k=2,greedy-cut]");
-        assert_eq!(
-            pinned(2, PinPolicy::Compact).name(),
-            "sharded[k=2,greedy-cut,pin=compact]"
-        );
-        assert_eq!(
-            pinned(4, PinPolicy::Explicit(vec![0, 1])).name(),
-            "sharded[k=4,greedy-cut,pin=0,1]"
-        );
     }
 
     #[test]
-    fn checkpoint_restore_round_trips_arena_backed_queues() {
+    fn checkpoint_restore_round_trips_non_empty_port_queues() {
         // A mid-run checkpoint copies non-empty port queues out (via
         // `snapshot_events`); restoring queues every event again on the
         // new shard (via `PortQueue::restore`). Kill the
         // first life at epoch 2, restore the second — the resumed run
-        // must reproduce the uninterrupted reference exactly, with
-        // pinning on so the restore path also crosses pinned threads.
-        let dir = std::env::temp_dir().join(format!(
-            "des-arena-ckpt-{}",
-            std::process::id()
-        ));
+        // must reproduce the uninterrupted reference exactly.
+        let dir = std::env::temp_dir().join(format!("des-queue-ckpt-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let c = kogge_stone_adder(16);
         let s = Stimulus::random_vectors(&c, 12, 10, 37);
         let delays = DelayModel::standard();
         let reference = SeqWorksetEngine::new().run(&c, &s, &delays);
-        let cfg = cfg_k(4).with_pinning(PinPolicy::Compact).with_checkpoints(40, &dir);
+        let cfg = cfg_k(4).with_checkpoints(40, &dir);
         let killed = cfg.clone().with_fault_plan(FaultPlan::seeded(7).kill_rank_at_epoch(0, 2));
         ShardedEngine::from_config(&killed)
             .try_run(&c, &s, &delays)
@@ -2120,7 +2077,7 @@ mod tests {
         assert_eq!(l1.inbox_len(), 4);
 
         let metrics = Partition::build(&c17(), 2, PartitionStrategy::default()).metrics(&c17());
-        let threads = ShardThreads::new(&PinPolicy::None, 2).unwrap();
+        let threads = ShardThreads::new(2);
         let snapshot = threads.stall_snapshot(
             "sharded",
             &FaultPlan::none(),

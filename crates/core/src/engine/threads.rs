@@ -10,14 +10,12 @@
 //! rather than from a fresh thread arena the allocator hands back to the
 //! OS after every run, and one spawn/join per run goes away.
 //!
-//! Every shard pins itself (per the run's [`PinPolicy`]) before its
-//! closure runs, so whatever the shard allocates is first-touched on its
-//! core; the caller is pinned for the run only and gets its own mask
-//! back afterwards. A panic in any shard is contained at the shard
-//! boundary and recorded as [`SimError::TaskPanicked`] in the run's
-//! [`RunCtl`], and the per-shard done/pinned-core state the threads
-//! publish feeds one watchdog stall snapshot
-//! ([`ShardThreads::watch`]).
+//! The OS places every shard thread, as HJlib's runtime places its
+//! `async` tasks: nothing here binds a thread to a core. A panic in any
+//! shard is contained at the shard boundary and recorded as
+//! [`SimError::TaskPanicked`] in the run's [`RunCtl`], and the per-shard
+//! done/queued-events state the threads publish feeds one watchdog stall
+//! snapshot ([`ShardThreads::watch`]).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -28,24 +26,18 @@ use fault::{FaultPlan, RunCtl, SimError, StallSnapshot, Watchdog, WorkerSnapshot
 use obs::Recorder;
 
 use crate::engine::config::EngineConfig;
-use crate::engine::pin::{self, PinPolicy};
 
-/// The threads of one run's shards: where each is pinned, and what each
-/// has published for the watchdog.
+/// The threads of one run's shards: what each has published for the
+/// watchdog.
 pub struct ShardThreads {
-    /// Core per shard (`None` = unpinned), resolved before any thread
-    /// starts: an invalid explicit core list is a configuration error,
-    /// not a per-thread surprise mid-run.
-    plan: Vec<Option<usize>>,
     slots: Vec<ShardSlot>,
 }
 
 /// What one shard thread publishes lock-free for the watchdog's stall
-/// snapshot. `usize::MAX` is the "not recorded" sentinel (unpinned
-/// thread / shard not yet running).
+/// snapshot.
 pub(crate) struct ShardSlot {
     done: AtomicBool,
-    pinned: AtomicUsize,
+    /// `usize::MAX` until the shard first records its queue.
     queued_events: AtomicUsize,
 }
 
@@ -53,7 +45,6 @@ impl ShardSlot {
     fn new() -> Self {
         ShardSlot {
             done: AtomicBool::new(false),
-            pinned: AtomicUsize::new(usize::MAX),
             queued_events: AtomicUsize::new(usize::MAX),
         }
     }
@@ -63,8 +54,8 @@ impl ShardSlot {
         self.queued_events.store(events, Ordering::Relaxed);
     }
 
-    fn recorded(v: &AtomicUsize, order: Ordering) -> Option<usize> {
-        match v.load(order) {
+    fn queued(&self) -> Option<usize> {
+        match self.queued_events.load(Ordering::Relaxed) {
             usize::MAX => None,
             v => Some(v),
         }
@@ -72,14 +63,11 @@ impl ShardSlot {
 }
 
 impl ShardThreads {
-    /// Threads for `shards` shards placed by `pinning`, or a
-    /// [`SimError::Config`] when an explicit core list names an offline
-    /// core.
-    pub fn new(pinning: &PinPolicy, shards: usize) -> Result<Arc<ShardThreads>, SimError> {
-        Ok(Arc::new(ShardThreads {
-            plan: pinning.plan(shards)?,
+    /// Threads for `shards` shards.
+    pub fn new(shards: usize) -> Arc<ShardThreads> {
+        Arc::new(ShardThreads {
             slots: (0..shards).map(|_| ShardSlot::new()).collect(),
-        }))
+        })
     }
 
     /// Shard `i`'s published state (`i` in run order).
@@ -93,9 +81,8 @@ impl ShardThreads {
     }
 
     /// Run `shard` once per item, item `i` as shard `i`: items 0 to K−2
-    /// on scoped threads, the last on the calling thread, every one
-    /// pinned before `shard` runs. Returns the results in item order
-    /// once every shard has finished.
+    /// on scoped threads, the last on the calling thread. Returns the
+    /// results in item order once every shard has finished.
     ///
     /// Errors take precedence in the order they were recorded in `ctl`
     /// (the first wins): a shard's panic, a shard's own failure, or the
@@ -114,15 +101,11 @@ impl ShardThreads {
     {
         assert_eq!(items.len(), self.slots.len(), "one item per shard");
         let run_one = |i: usize, item: I| {
-            let slot = &self.slots[i];
-            let core = self.plan[i].and_then(pin::pin_current_thread);
-            slot.pinned
-                .store(core.unwrap_or(usize::MAX), Ordering::Release);
             // Contained at the shard boundary: an unwind drops whatever
             // the shard owned (peers observe its endpoint disconnect and
             // retire), and the scope joins every thread before we return.
             let result = catch_unwind(AssertUnwindSafe(|| shard(item)));
-            slot.done.store(true, Ordering::Release);
+            self.slots[i].done.store(true, Ordering::Release);
             result
                 .map_err(|payload| ctl.record_error(SimError::from_panic(None, payload.as_ref())))
                 .ok()
@@ -135,12 +118,7 @@ impl ShardThreads {
                 .enumerate()
                 .map(|(i, item)| scope.spawn(move || run_one(i, item)))
                 .collect();
-            let me = handles.len();
-            let saved = self.plan[me].and_then(|_| pin::sched_getaffinity_self());
-            let own = run_one(me, last);
-            if let Some(mask) = saved {
-                pin::sched_setaffinity_self(&mask);
-            }
+            let own = run_one(handles.len(), last);
             let mut outcomes: Vec<_> = handles
                 .into_iter()
                 .map(|h| h.join().unwrap_or(None))
@@ -157,14 +135,10 @@ impl ShardThreads {
     }
 
     /// Arm `cfg`'s no-progress watchdog (if any) over `ctl`. On a stall
-    /// it captures each shard's running/done state, pinned core and
-    /// queued events, with `fabric` filling in what only the engine's
-    /// transport knows: inbox depths (counted in messages), per-peer
-    /// links, wait attribution, notes.
-    ///
-    /// Call before [`run`](Self::run): the process's one watchdog thread
-    /// inherits the CPU mask of the thread that arms first, and `run`
-    /// pins its caller.
+    /// it captures each shard's running/done state and queued events,
+    /// with `fabric` filling in what only the engine's transport knows:
+    /// inbox depths (counted in messages), per-peer links, wait
+    /// attribution, notes.
     pub fn watch(
         self: &Arc<Self>,
         engine: &str,
@@ -186,8 +160,8 @@ impl ShardThreads {
         ))
     }
 
-    /// The watchdog's diagnostic snapshot: per-shard running/done state,
-    /// pinned core and queued events beside whatever `fabric` reports,
+    /// The watchdog's diagnostic snapshot: per-shard running/done state
+    /// and queued events beside whatever `fabric` reports,
     /// all read without touching simulation state.
     pub(crate) fn stall_snapshot(
         &self,
@@ -220,8 +194,7 @@ impl ShardThreads {
                 }
                 .into(),
                 queue_depth: snap.queue_depths.get(id).copied(),
-                pinned_core: ShardSlot::recorded(&s.pinned, Ordering::Acquire),
-                queued_events: ShardSlot::recorded(&s.queued_events, Ordering::Relaxed),
+                queued_events: s.queued(),
             })
             .collect();
         if fault.is_active() {
@@ -241,7 +214,7 @@ mod tests {
     #[test]
     fn the_last_shard_runs_on_the_calling_thread() {
         for k in [1usize, 2, 4] {
-            let threads = ShardThreads::new(&PinPolicy::None, k).unwrap();
+            let threads = ShardThreads::new(k);
             let ids: Vec<ThreadId> = threads
                 .run(&RunCtl::new(), (0..k).collect(), |_| {
                     std::thread::current().id()
@@ -257,7 +230,7 @@ mod tests {
     #[test]
     fn a_panic_in_the_first_or_last_shard_is_recorded_while_the_rest_finish() {
         for bad in [0usize, 3] {
-            let threads = ShardThreads::new(&PinPolicy::None, 4).unwrap();
+            let threads = ShardThreads::new(4);
             let ctl = RunCtl::new();
             let finished = AtomicU64::new(0);
             let err = threads
@@ -284,7 +257,7 @@ mod tests {
 
     #[test]
     fn snapshot_reports_each_shard_beside_the_fabric() {
-        let threads = ShardThreads::new(&PinPolicy::None, 2).unwrap();
+        let threads = ShardThreads::new(2);
         threads.slots[0].done.store(true, Ordering::Release);
         threads.slot(1).record_queued(5);
         let snap = threads.stall_snapshot(
@@ -311,36 +284,5 @@ mod tests {
             "{:?}",
             snap.notes
         );
-    }
-
-    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-    #[test]
-    fn pinned_run_gives_the_caller_its_affinity_back() {
-        // The calling thread runs the last shard, pinned like any other;
-        // it must leave `run` with the mask it came in with, and every
-        // shard the kernel agreed to pin runs on exactly its core.
-        fn allowed_cpus() -> String {
-            let status = std::fs::read_to_string("/proc/thread-self/status").unwrap();
-            status
-                .lines()
-                .find_map(|l| l.strip_prefix("Cpus_allowed_list:"))
-                .expect("Cpus_allowed_list in /proc/thread-self/status")
-                .trim()
-                .to_string()
-        }
-        let before = allowed_cpus();
-        for k in [1usize, 2, 3] {
-            let threads = ShardThreads::new(&PinPolicy::Compact, k).unwrap();
-            let seen = threads
-                .run(&RunCtl::new(), (0..k).collect(), |_| allowed_cpus())
-                .unwrap();
-            assert_eq!(allowed_cpus(), before, "k={k}");
-            for (i, cpus) in seen.iter().enumerate() {
-                if let Some(core) = ShardSlot::recorded(&threads.slot(i).pinned, Ordering::Acquire)
-                {
-                    assert_eq!(*cpus, core.to_string(), "k={k} shard {i}");
-                }
-            }
-        }
     }
 }

@@ -53,7 +53,6 @@ pub mod vcd;
 
 pub use arena::{EventArena, EventRef};
 pub use engine::checkpoint::{latest_consistent_epoch, CheckpointConfig};
-pub use engine::pin::PinPolicy;
 pub use engine::dist::{config_digest, run_node, DistConfig, TcpShardedEngine};
 pub use engine::{build, try_build, Engine, EngineConfig, SimOutput, ENGINE_NAMES};
 pub use fault::{

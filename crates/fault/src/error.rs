@@ -12,9 +12,6 @@ pub struct WorkerSnapshot {
     pub state: String,
     /// Depth of this worker's local queue, if it has one.
     pub queue_depth: Option<usize>,
-    /// Core this worker's thread is pinned to (`None` when unpinned), so
-    /// wedge diagnostics attribute stalls to the right socket.
-    pub pinned_core: Option<usize>,
     /// Events queued on the ports this worker owns, if it owns any.
     pub queued_events: Option<usize>,
 }
@@ -117,9 +114,6 @@ impl fmt::Display for StallSnapshot {
             if let Some(d) = w.queue_depth {
                 write!(f, " (queue depth {d})")?;
             }
-            if let Some(c) = w.pinned_core {
-                write!(f, " [core {c}]")?;
-            }
             if let Some(n) = w.queued_events {
                 write!(f, " [{n} queued]")?;
             }
@@ -204,13 +198,6 @@ pub enum SimError {
         /// Where and what: enough to locate the broken invariant.
         context: String,
     },
-    /// A configuration value was rejected before the run started (e.g. a
-    /// pin policy naming cores the machine does not have, or a malformed
-    /// des-node config key). Nothing was spawned when this is returned.
-    Config {
-        /// Which knob was rejected and why.
-        context: String,
-    },
     /// A transport link failed: a peer process disconnected mid-run, a
     /// wire frame failed to decode, or the termination handshake timed
     /// out. Distributed engines return this instead of hanging.
@@ -232,13 +219,6 @@ impl SimError {
     /// Convenience constructor used at former `expect(...)` sites.
     pub fn invariant(context: impl Into<String>) -> Self {
         SimError::InvariantViolation {
-            context: context.into(),
-        }
-    }
-
-    /// Convenience constructor for rejected configuration values.
-    pub fn config(context: impl Into<String>) -> Self {
-        SimError::Config {
             context: context.into(),
         }
     }
@@ -281,9 +261,6 @@ impl fmt::Display for SimError {
             SimError::InvariantViolation { context } => {
                 write!(f, "invariant violation: {context}")
             }
-            SimError::Config { context } => {
-                write!(f, "invalid configuration: {context}")
-            }
             SimError::Transport {
                 peer,
                 direction,
@@ -324,10 +301,6 @@ mod tests {
 
         let e = SimError::invariant("hj.pump: head mirror desync at node 3");
         assert!(e.to_string().contains("head mirror desync"), "{e}");
-
-        let e = SimError::config("pin: core 9 requested but only 4 cores online");
-        let s = e.to_string();
-        assert!(s.contains("invalid configuration") && s.contains("core 9"), "{s}");
     }
 
     #[test]
@@ -375,7 +348,6 @@ mod tests {
                 id: 0,
                 state: "parked".into(),
                 queue_depth: Some(3),
-                pinned_core: Some(2),
                 queued_events: Some(17),
             }],
             held_locks: vec![5],
@@ -409,7 +381,7 @@ mod tests {
         };
         let text = snap.to_string();
         assert!(text.contains("hj") && text.contains("parked") && text.contains("wedge"));
-        assert!(text.contains("[core 2]") && text.contains("[17 queued]"), "{text}");
+        assert!(text.contains("[17 queued]"), "{text}");
         assert!(text.contains("link ->1") && text.contains("64 bytes"), "{text}");
         assert!(
             text.contains("trace shard-0") && text.contains("mailbox_stall(a=2,b=0)@1234ns"),

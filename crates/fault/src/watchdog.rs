@@ -15,8 +15,7 @@ type SnapshotFn = Box<dyn Fn(Duration, u64) -> StallSnapshot + Send>;
 /// Every armed `Watchdog` is an entry in one process-wide monitor: the
 /// first [`arm`](Watchdog::arm) starts its thread (`sim-watchdog`), which
 /// never exits. Arming costs one lock and one push, disarming one lock
-/// and one removal; no thread is spawned or joined per run. The monitor
-/// inherits the CPU mask of the thread that arms first.
+/// and one removal; no thread is spawned or joined per run.
 ///
 /// The watchdog never kills threads: on a stall it captures a
 /// [`StallSnapshot`] through the engine-supplied closure, records

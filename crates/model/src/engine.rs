@@ -9,9 +9,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use des::engine::threads::ShardThreads;
-use des::{
-    EngineConfig, Partition, PinPolicy, Recorder, RunCtl, SimError, SpanKind, StallSnapshot, Tracer,
-};
+use des::{EngineConfig, Partition, Recorder, RunCtl, SimError, SpanKind, StallSnapshot, Tracer};
 use shard::comm::{fabric, Mailbox, RecvTimeoutError, TrySendError};
 
 use crate::component::Payload;
@@ -253,8 +251,8 @@ impl SeqModelEngine {
         let recorder = self.cfg.recorder();
         let ctl = Arc::new(RunCtl::new());
         // One executor, so one shard: the harness runs it on the calling
-        // thread, unpinned.
-        let threads = ShardThreads::new(&PinPolicy::None, 1)?;
+        // thread.
+        let threads = ShardThreads::new(1);
         let watchdog = threads.watch("model-seq", &ctl, &self.cfg, model_stall);
         let (seed, horizon, names, comps, links) = graph.into_parts();
         let cores = lower(seed, horizon, comps, &links);
@@ -334,8 +332,8 @@ impl SeqModelEngine {
 /// The sharded conservative executor: components partitioned into K
 /// shards ([`Partition::build_graph`] handles the cyclic graphs the
 /// circuit partitioner never sees), run by [`ShardThreads`] — shards 0
-/// to K−2 on scoped threads, shard K−1 on the calling thread, each
-/// pinned before it starts — with cross-shard traffic
+/// to K−2 on scoped threads, shard K−1 on the calling thread — with
+/// cross-shard traffic
 /// over the bounded, batched mailboxes of [`shard::comm`]: a sweep over
 /// the shard's components stages what it sends and hands it over a
 /// batch at a time.
@@ -370,7 +368,7 @@ impl ShardedModelEngine {
         let k = self.cfg.shards().max(1).min(n.max(1));
         let edges: Vec<(usize, usize)> = links.iter().map(|l| (l.src, l.dst)).collect();
         let partition = Partition::build_graph(n, &edges, k, self.cfg.strategy());
-        let threads = ShardThreads::new(self.cfg.pinning(), k)?;
+        let threads = ShardThreads::new(k);
         let assignment: Arc<Vec<usize>> = Arc::new(partition.assignment().to_vec());
         let (mailboxes, depths) = fabric::<OutMsg<P>>(k, self.cfg.mailbox_capacity().max(1));
         let watchdog = threads.watch("model-sharded", &ctl, &self.cfg, move |snap| {

@@ -87,44 +87,23 @@ fn phold_matches_across_engines_and_shard_counts() {
 }
 
 #[test]
-fn phold_is_bit_identical_across_pin_policies_and_shard_counts() {
-    // Core pinning is a placement decision, not a semantic one: the
-    // observables and the event-stream checksum must be the same bytes
-    // under every pin policy at every shard count, even when shards
-    // outnumber cores (compact/spread wrap instead of failing).
+fn phold_is_bit_identical_across_shard_counts() {
+    // The observables and the event-stream checksum must be the same
+    // bytes at every shard count.
     let reference = run_seq(phold_graph(11));
-    let caller_cpus = allowed_cpus();
     for k in [1usize, 2, 4, 8] {
-        for policy in [des::PinPolicy::None, des::PinPolicy::Compact, des::PinPolicy::Spread] {
-            let label = policy.label();
-            let cfg = EngineConfig::new().with_shards(k).with_pinning(policy);
-            let out = model::run("model-sharded", &cfg, phold_graph(11));
-            reference.assert_equivalent(&out);
-            assert_eq!(reference.checksum, out.checksum, "checksum diverges at k={k} pin={label}");
-            assert_eq!(
-                reference.observables, out.observables,
-                "observables diverge at k={k} pin={label}"
-            );
-            // The calling thread ran the last shard, pinned for the run only.
-            assert_eq!(
-                allowed_cpus(),
-                caller_cpus,
-                "caller affinity at k={k} pin={label}"
-            );
-        }
+        let cfg = EngineConfig::new().with_shards(k);
+        let out = model::run("model-sharded", &cfg, phold_graph(11));
+        reference.assert_equivalent(&out);
+        assert_eq!(
+            reference.checksum, out.checksum,
+            "checksum diverges at k={k}"
+        );
+        assert_eq!(
+            reference.observables, out.observables,
+            "observables diverge at k={k}"
+        );
     }
-}
-
-/// The calling thread's CPU affinity as the kernel reports it (empty
-/// where `/proc/thread-self/status` does not exist).
-fn allowed_cpus() -> String {
-    std::fs::read_to_string("/proc/thread-self/status")
-        .unwrap_or_default()
-        .lines()
-        .find_map(|l| l.strip_prefix("Cpus_allowed_list:"))
-        .unwrap_or_default()
-        .trim()
-        .to_string()
 }
 
 #[test]

@@ -114,10 +114,10 @@ fn enabled_obs_is_visible_to_the_allocation_counter() {
 
 /// `seq-workset` allocates nothing per node run. With the off recorder,
 /// what a run allocates is its setup: a port list per node and a deque
-/// per port that carries an event (plus the arena and workset, which grow
-/// logarithmically). Each node of a chain runs once, so a longer chain
-/// adds as many node runs as nodes; the allocations it adds must stay
-/// within that setup, one per node and one per port.
+/// per port that carries an event (plus the workset and the ready-event
+/// scratch, which grow logarithmically). Each node of a chain runs once,
+/// so a longer chain adds as many node runs as nodes; the allocations it
+/// adds must stay within that setup, one per node and one per port.
 #[test]
 fn seq_workset_allocations_do_not_grow_with_node_runs() {
     use circuit::generators::inverter_chain;
